@@ -167,6 +167,8 @@ _OPS = st.lists(
                 "fail",
                 "recover",
                 "node_vm",
+                "node_rm",
+                "node_mv",
                 "quarantine",
                 "readmit",
             ]
@@ -194,6 +196,7 @@ def test_property_index_equivalent_after_random_ops(ops):
     bbs = list(region.iter_building_blocks())
     nodes = [n for bb in bbs for n in bb.iter_nodes()]
     claimed: list[str] = []
+    node_vms: list[tuple[str, object]] = []
 
     for i, (op, a, b) in enumerate(ops):
         if op == "claim":
@@ -232,16 +235,32 @@ def test_property_index_equivalent_after_random_ops(ops):
         elif op == "readmit":
             nodes[a % len(nodes)].quarantined = False
         elif op == "node_vm":
+            # Node-level bookkeeping outside placement, across several
+            # tenants so per-node tenant upkeep is exercised (simulations
+            # only ever use the "default" tenant).
             node = nodes[a % len(nodes)]
             vm_id = f"nvm{i}"
-            if vm_id not in node.vms:
-                node.add_vm(
-                    VM(
-                        vm_id=vm_id,
-                        flavor=catalog.get(_FLAVORS[b % len(_FLAVORS)]),
-                        tenant=f"t{b % 3}",
-                    )
+            node.add_vm(
+                VM(
+                    vm_id=vm_id,
+                    flavor=catalog.get(_FLAVORS[b % len(_FLAVORS)]),
+                    tenant=f"t{b % 5}",
                 )
+            )
+            node_vms.append((vm_id, node))
+        elif op == "node_rm" and node_vms:
+            # Removing a tenant's last VM on a node must drop the tenant.
+            vm_id, node = node_vms.pop(a % len(node_vms))
+            node.remove_vm(vm_id)
+        elif op == "node_mv" and node_vms:
+            # A DRS-style move: the VM and its tenant change node, and
+            # possibly building block.
+            k = a % len(node_vms)
+            vm_id, node = node_vms[k]
+            target = nodes[b % len(nodes)]
+            if target is not node:
+                target.add_vm(node.remove_vm(vm_id))
+                node_vms[k] = (vm_id, target)
         if i % 7 == 0:
             index.refresh()  # interleaved queries must not mask later drift
 

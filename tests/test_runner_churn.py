@@ -1,5 +1,8 @@
 """Tests for resize events and maintenance windows in the DES runner."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.scheduler.placement import MEMORY_MB, VCPU
@@ -24,6 +27,41 @@ def churn_result():
         ),
     )
     return sim.run()
+
+
+def churn_outcome_digest(result) -> str:
+    """SHA-256 over everything the create/resize/maintenance path decides."""
+    doc = {
+        "created": result.created,
+        "deleted": result.deleted,
+        "rejected": result.rejected,
+        "resized": result.resized,
+        "resize_failed": result.resize_failed,
+        "drs_migrations": result.drs_migrations,
+        "maintenance_windows": result.maintenance_windows,
+        "events": result.events_processed,
+        "scheduler_stats": dict(sorted(result.scheduler_stats.items())),
+        "placement_stats": result.placement.stats(),
+        "placements": sorted(
+            (vm_id, vm.node_id, vm.state.value, vm.flavor.name)
+            for vm_id, vm in result.vms.items()
+        ),
+        "store": result.store.content_fingerprint(),
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: Outcome digest of the ``churn_result`` configuration.  Any change to a
+#: placement, counter, RNG draw or scraped sample changes it; update it only
+#: for an intentional behaviour change, and explain the change.
+CHURN_OUTCOME_DIGEST = (
+    "2a1b2d9d04abee1b50a7e2a9322b63d2a06e8dfd83951a3de2253c7b76a87a79"
+)
+
+
+def test_churn_outcome_digest_is_pinned(churn_result):
+    assert churn_outcome_digest(churn_result) == CHURN_OUTCOME_DIGEST
 
 
 def test_resizes_happen(churn_result):
