@@ -176,7 +176,7 @@ class HolisticNodeScheduler:
         for bb in self.region.iter_building_blocks():
             for node in bb.iter_nodes():
                 free = node.free(bb.overcommit)
-                allocatable = bb.overcommit.allocatable(node.physical)
+                allocatable = node.allocatable(bb.overcommit)
                 states.append(
                     HostState(
                         host_id=node.node_id,
@@ -190,7 +190,7 @@ class HolisticNodeScheduler:
                         total_ram_mb=allocatable.memory_mb,
                         total_disk_gb=allocatable.disk_gb,
                         num_instances=node.vm_count,
-                        tenants=frozenset(vm.tenant for vm in node.vms.values()),
+                        tenants=node.tenants(),
                         enabled=not node.maintenance,
                         metadata={"bb_id": bb.bb_id},
                     )

@@ -161,7 +161,7 @@ class DrsBalancer:
             for target in targets:
                 if target.node_id == source.node_id or not target.healthy:
                     continue
-                if not vm.requested().fits_within(target.free(bb.overcommit)):
+                if not target.fits(vm.requested(), bb.overcommit):
                     continue
                 if not self.rules.allows_move(bb, vm.vm_id, target.node_id):
                     continue

@@ -108,7 +108,7 @@ class EvacuationManager:
         node = (
             self.sim._node_index.get(result.host_id)
             if bb is None
-            else self.sim._pick_node(bb, vm.flavor)
+            else bb.pick_node(vm.requested())
         )
         if bb is None and node is not None:
             bb = self.sim._bb_index.get(node.building_block)

@@ -119,6 +119,8 @@ class FlavorCatalog:
 
     def __init__(self, flavors: list[Flavor] | None = None) -> None:
         self._flavors: dict[str, Flavor] = {}
+        #: Memo of next_larger(); register() clears it.
+        self._next_larger: dict[Flavor, Flavor | None] = {}
         for flavor in flavors or []:
             self.register(flavor)
 
@@ -127,6 +129,7 @@ class FlavorCatalog:
         if flavor.name in self._flavors:
             raise ValueError(f"duplicate flavor name: {flavor.name}")
         self._flavors[flavor.name] = flavor
+        self._next_larger.clear()
 
     def get(self, name: str) -> Flavor:
         """Look up a flavor by name (KeyError if unknown)."""
@@ -147,6 +150,24 @@ class FlavorCatalog:
     def by_family(self, family: str) -> list[Flavor]:
         """All flavors of one workload family."""
         return [f for f in self._flavors.values() if f.family == family]
+
+    def next_larger(self, flavor: Flavor) -> Flavor | None:
+        """The resize target of ``flavor``: the flavor with the fewest
+        vCPUs above its own in the same family and aggregate class (first
+        registered on ties), or None when there is none.  Memoised."""
+        try:
+            return self._next_larger[flavor]
+        except KeyError:
+            pass
+        aggregate = flavor.spec("aggregate_class")
+        bigger = [
+            f
+            for f in self.by_family(flavor.family)
+            if f.vcpus > flavor.vcpus and f.spec("aggregate_class") == aggregate
+        ]
+        target = min(bigger, key=lambda f: f.vcpus) if bigger else None
+        self._next_larger[flavor] = target
+        return target
 
 
 def default_catalog() -> FlavorCatalog:

@@ -53,14 +53,21 @@ class ComputeNode:
     #: flap (fail/recover oscillation).  A quarantined node keeps its
     #: resident VMs but accepts no new placements until re-admitted.
     quarantined: bool = False
-    #: Bumped by add_vm/remove_vm; part of the allocated() cache guard.
+    #: Bumped by add_vm/remove_vm; part of the resident-VM memo guard.
     _vm_epoch: int = field(default=0, init=False, repr=False, compare=False)
-    #: (vm_epoch, vms-dict ref, len, Capacity) of the last allocated() sum,
-    #: or None.  The dict-identity + length guards catch mutations that
-    #: bypass add_vm/remove_vm (e.g. the verify harness forking ``vms`` to
-    #: inject a ghost VM), so a stale sum can never be served to a caller
-    #: that would otherwise re-count the registry.
-    _alloc_cache: tuple | None = field(
+    #: (vm_epoch, vms-dict ref, len, allocated Capacity, tenant frozenset)
+    #: summarising the resident VMs, or None.  The dict-identity + length
+    #: guards catch mutations that bypass add_vm/remove_vm (e.g. the verify
+    #: harness forking ``vms`` to inject a ghost VM), so a stale summary can
+    #: never be served to a caller that would otherwise re-count the
+    #: registry.
+    _vm_memo: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: (policy ref, physical ref, allocatable Capacity) of the last
+    #: allocatable() call, or None.  Identity guards: replacing the BB's
+    #: overcommit policy or the node's hardware recomputes.
+    _allocatable_cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -77,43 +84,131 @@ class ComputeNode:
         """Neither draining, failed, nor fenced off by quarantine."""
         return not self.maintenance and not self.failed and not self.quarantined
 
-    def allocated(self) -> Capacity:
-        """Sum of resources requested by resident VMs (cached between
-        mutations; any add/remove or registry swap recomputes)."""
+    def _resident(self) -> tuple:
+        """The resident-VM memo, recomputed in one pass after any add,
+        remove or registry swap (O(VMs on this node))."""
         vms = self.vms
-        cache = self._alloc_cache
+        memo = self._vm_memo
         if (
-            cache is not None
-            and cache[0] == self._vm_epoch
-            and cache[1] is vms
-            and cache[2] == len(vms)
+            memo is not None
+            and memo[0] == self._vm_epoch
+            and memo[1] is vms
+            and memo[2] == len(vms)
         ):
-            return cache[3]
-        total = Capacity()
+            return memo
+        # Component sums in residency order: the same float additions as
+        # folding Capacity.__add__ over the requests.
+        vcpus = memory_mb = disk_gb = network_gbps = 0.0
+        tenants = set()
         for vm in vms.values():
-            total = total + vm.requested()
-        object.__setattr__(
-            self, "_alloc_cache", (self._vm_epoch, vms, len(vms), total)
+            req = vm.requested()
+            vcpus += req.vcpus
+            memory_mb += req.memory_mb
+            disk_gb += req.disk_gb
+            network_gbps += req.network_gbps
+            tenants.add(vm.tenant)
+        memo = (
+            self._vm_epoch,
+            vms,
+            len(vms),
+            Capacity(vcpus, memory_mb, disk_gb, network_gbps),
+            frozenset(tenants),
         )
-        return total
+        object.__setattr__(self, "_vm_memo", memo)
+        return memo
+
+    def allocated(self) -> Capacity:
+        """Sum of resources requested by resident VMs (memoised)."""
+        return self._resident()[3]
+
+    def tenants(self) -> frozenset[str]:
+        """Tenants with a VM resident on this node (memoised)."""
+        return self._resident()[4]
+
+    def allocatable(self, policy: OvercommitPolicy) -> Capacity:
+        """``policy.allocatable(self.physical)``, cached per policy."""
+        cache = self._allocatable_cache
+        if cache is not None and cache[0] is policy and cache[1] is self.physical:
+            return cache[2]
+        allocatable = policy.allocatable(self.physical)
+        object.__setattr__(
+            self, "_allocatable_cache", (policy, self.physical, allocatable)
+        )
+        return allocatable
 
     def free(self, policy: OvercommitPolicy) -> Capacity:
         """Allocatable-minus-allocated capacity under ``policy``."""
-        return policy.allocatable(self.physical) - self.allocated()
+        return self.allocatable(policy) - self.allocated()
+
+    def fits(self, requested: Capacity, policy: OvercommitPolicy) -> bool:
+        """True when ``requested`` fits this node's free capacity under
+        ``policy`` — the node-level fit check every placement site uses.
+
+        Same result as ``requested.fits_within(self.free(policy))``: each
+        component is compared against the same ``max(0, allocatable -
+        allocated)`` clamp ``Capacity.__sub__`` applies, but from the
+        cached allocatable and allocated vectors, with no Capacity built.
+        """
+        cap = self.allocatable(policy)
+        used = self._resident()[3]
+        vcpus = cap.vcpus - used.vcpus
+        memory_mb = cap.memory_mb - used.memory_mb
+        disk_gb = cap.disk_gb - used.disk_gb
+        network_gbps = cap.network_gbps - used.network_gbps
+        # ``x if x > 0.0 else 0.0`` is exactly ``max(0.0, x)`` (for -0.0
+        # and NaN too), at a fraction of the builtin call's cost.
+        return (
+            requested.vcpus <= (vcpus if vcpus > 0.0 else 0.0)
+            and requested.memory_mb <= (memory_mb if memory_mb > 0.0 else 0.0)
+            and requested.disk_gb <= (disk_gb if disk_gb > 0.0 else 0.0)
+            and requested.network_gbps
+            <= (network_gbps if network_gbps > 0.0 else 0.0)
+        )
 
     def can_host(self, vm: VM, policy: OvercommitPolicy) -> bool:
         """True when the VM's request fits this node under ``policy``."""
-        if not self.healthy:
-            return False
-        return vm.requested().fits_within(self.free(policy))
+        return self.healthy and self.fits(vm.requested(), policy)
 
     def add_vm(self, vm: VM) -> None:
         """Place ``vm`` on this node and stamp its ``node_id``."""
-        if vm.vm_id in self.vms:
+        vms = self.vms
+        if vm.vm_id in vms:
             raise ValueError(f"VM {vm.vm_id} already on node {self.node_id}")
-        self.vms[vm.vm_id] = vm
+        memo = self._vm_memo
+        current = (
+            memo is not None
+            and memo[0] == self._vm_epoch
+            and memo[1] is vms
+            and memo[2] == len(vms)
+        )
+        vms[vm.vm_id] = vm
         vm.node_id = self.node_id
-        object.__setattr__(self, "_vm_epoch", self._vm_epoch + 1)
+        epoch = self._vm_epoch + 1
+        object.__setattr__(self, "_vm_epoch", epoch)
+        if current:
+            # The VM joins at the end of the residency order, so extending
+            # each sum by its request gives the floats a recount would.
+            req = vm.requested()
+            used = memo[3]
+            tenants = memo[4]
+            if vm.tenant not in tenants:
+                tenants = tenants | {vm.tenant}
+            object.__setattr__(
+                self,
+                "_vm_memo",
+                (
+                    epoch,
+                    vms,
+                    len(vms),
+                    Capacity(
+                        used.vcpus + req.vcpus,
+                        used.memory_mb + req.memory_mb,
+                        used.disk_gb + req.disk_gb,
+                        used.network_gbps + req.network_gbps,
+                    ),
+                    tenants,
+                ),
+            )
         _bump_node_epoch()
 
     def remove_vm(self, vm_id: str) -> VM:
@@ -207,9 +302,44 @@ class BuildingBlock:
             out.extend(node.vms.values())
         return out
 
+    def tenants(self) -> frozenset[str]:
+        """Tenants with a VM on any member node: a union of the per-node
+        memos, so only nodes whose VMs changed are re-read."""
+        return frozenset().union(*[node.tenants() for node in self.nodes.values()])
+
     @property
     def vm_count(self) -> int:
-        return sum(node.vm_count for node in self.nodes.values())
+        return sum(len(node.vms) for node in self.nodes.values())
+
+    def pick_node(self, requested: Capacity) -> ComputeNode | None:
+        """The member node that takes a VM requesting ``requested`` (§3.2's
+        second step), or None when no healthy node fits.
+
+        ``pack`` picks the fitting node with the highest allocated-memory
+        fraction, ``spread`` the one with the lowest allocated-vCPU
+        fraction; ties go to the larger (pack) or smaller (spread) node id.
+        """
+        policy = self.overcommit
+        pack = self.policy == "pack"
+        best: ComputeNode | None = None
+        best_load = 0.0
+        for node in self.nodes.values():
+            if not node.healthy or not node.fits(requested, policy):
+                continue
+            used = node.allocated()
+            if pack:
+                load = used.memory_mb / node.physical.memory_mb
+                better = best is None or load > best_load or (
+                    load == best_load and node.node_id > best.node_id
+                )
+            else:
+                load = used.vcpus / node.physical.vcpus
+                better = best is None or load < best_load or (
+                    load == best_load and node.node_id < best.node_id
+                )
+            if better:
+                best, best_load = node, load
+        return best
 
 
 @dataclass

@@ -72,6 +72,22 @@ class VM:
     migrations: int = 0
     metadata: dict[str, str] = field(default_factory=dict)
 
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "state":
+            # Keep a registering LiveVMIndex's live bit in step with the
+            # derived ``alive`` property, however the state was written.
+            hook = self.__dict__.get("_live_hook")
+            if hook is not None:
+                hook[0]._set_live(hook[1], self.alive)
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles leave the live-index hook behind: it belongs
+        # to the simulation that registered this VM.
+        state = dict(self.__dict__)
+        state.pop("_live_hook", None)
+        return state
+
     def requested(self) -> Capacity:
         """Resources this VM requests from its host."""
         return self.flavor.requested()
@@ -99,3 +115,74 @@ class VM:
         if end is None:
             raise ValueError("VM is alive; pass `now` to compute lifetime")
         return max(0.0, end - self.created_at)
+
+
+class LiveVMIndex:
+    """VMs in registration order, with the live ones countable and
+    indexable in O(log n).
+
+    A Fenwick tree over one live bit per VM replaces filtering every VM
+    ever registered for ``alive``: ``len(index)`` is the number of live
+    VMs and ``index.nth_live(k)`` is ``[vm for vm in vms if vm.alive][k]``.
+    Bits follow the VMs' ``state`` through the hook in
+    :meth:`VM.__setattr__`, so a VM that leaves and re-enters the live
+    states (evacuation's ERROR -> BUILDING -> ACTIVE) keeps its position.
+    """
+
+    def __init__(self) -> None:
+        self._vms: list[VM] = []
+        self._live: list[bool] = []
+        #: 1-based Fenwick tree over ``_live`` (slot 0 unused).
+        self._tree: list[int] = [0]
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def add(self, vm: VM) -> None:
+        """Register ``vm`` after every VM registered so far."""
+        tree = self._tree
+        slot = len(tree)
+        live = vm.alive
+        # tree[slot] covers slots (slot - lowbit(slot), slot]: its own bit
+        # plus the already-built nodes of the sub-ranges below it.
+        total = int(live)
+        j = slot - 1
+        stop = slot - (slot & -slot)
+        while j > stop:
+            total += tree[j]
+            j -= j & -j
+        tree.append(total)
+        self._vms.append(vm)
+        self._live.append(live)
+        self._count += live
+        object.__setattr__(vm, "_live_hook", (self, slot))
+
+    def _set_live(self, slot: int, live: bool) -> None:
+        if self._live[slot - 1] == live:
+            return
+        self._live[slot - 1] = live
+        delta = 1 if live else -1
+        self._count += delta
+        tree = self._tree
+        size = len(tree)
+        while slot < size:
+            tree[slot] += delta
+            slot += slot & -slot
+
+    def nth_live(self, k: int) -> VM:
+        """The ``k``-th (0-based) live VM in registration order."""
+        if not 0 <= k < self._count:
+            raise IndexError(f"live VM index {k} out of range")
+        tree = self._tree
+        size = len(tree) - 1
+        pos = 0
+        remaining = k + 1
+        step = 1 << (size.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] < remaining:
+                pos = nxt
+                remaining -= tree[nxt]
+            step >>= 1
+        return self._vms[pos]

@@ -54,7 +54,6 @@ from repro.verify.oracle import (
     Mismatch,
     ReplayOutcome,
     inventory_snapshot,
-    pick_node,
     workload_ops,
 )
 from repro.verify.scenarios import VerifyScenario
@@ -270,7 +269,7 @@ class JournaledRun:
                 commit = self._commit(i, op, host=None, score=0.0, attempts=0)
             else:
                 bb = self.bb_index[result.host_id]
-                node = pick_node(bb, spec_req)
+                node = bb.pick_node(spec_req.requested())
                 if node is None:
                     # BB-level room but no single node fits: release, as
                     # the oracle and the simulation runner both do.

@@ -44,7 +44,6 @@ class HostState:
     ) -> "HostState":
         """Build the candidate view of ``bb`` from placement inventories."""
         provider = placement.provider(bb.bb_id)
-        tenants = frozenset(vm.tenant for vm in bb.vms())
         return cls(
             host_id=bb.bb_id,
             az=bb.az,
@@ -57,7 +56,7 @@ class HostState:
             total_ram_mb=provider.capacity(MEMORY_MB),
             total_disk_gb=provider.capacity(DISK_GB),
             num_instances=bb.vm_count,
-            tenants=tenants,
+            tenants=bb.tenants(),
             # A BB with no healthy member (all failed or draining) cannot
             # accept placements: the MaintenanceFilter rejects it outright.
             enabled=any(n.healthy for n in bb.nodes.values()),

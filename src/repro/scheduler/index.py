@@ -14,7 +14,10 @@ building block and maintains it incrementally:
   not flow through placement (host failures, maintenance, node-level VM
   bookkeeping).  The scan itself is skipped in O(1) whenever
   :data:`repro.infrastructure.hierarchy.NODE_MUTATION_EPOCH` shows no
-  node changed since the last query;
+  node changed since the last query.  A drifted block is rebuilt from
+  the per-node resident-VM memos (:meth:`ComputeNode.tenants`), so
+  reflecting one node-level add or remove re-reads only the touched
+  node's VMs: O(nodes in the block + VMs on the touched node);
 * free-vCPU *buckets* (log₂-spaced) give a constant-time superset of the
   hosts that can possibly satisfy a request's vCPU demand, so capacity
   filters start from a pre-narrowed candidate list.
@@ -157,7 +160,7 @@ class HostStateIndex:
             # way a fresh from-scratch rebuild by the caller would re-stamp.
             state.metadata.update(old.metadata)
         self._states[bb_id] = state
-        self._fingerprints[bb_id] = (bb.vm_count, state.enabled)
+        self._fingerprints[bb_id] = (state.num_instances, state.enabled)
         nodes = tuple(bb.nodes.values())
         self._scan_nodes[bb_id] = nodes
         self._scan_vms[bb_id] = [n.vms for n in nodes]

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.datagen.population import FLAVOR_MIX
 from repro.drs.balancer import DrsBalancer, DrsConfig
 from repro.faults import (
     EvacuationManager,
@@ -34,7 +35,7 @@ from repro.faults import (
 from repro.infrastructure.flavors import FlavorCatalog, default_catalog
 from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode, Region
 from repro.infrastructure.topology import TopologySpec, build_region
-from repro.infrastructure.vm import VM, VMState
+from repro.infrastructure.vm import VM, LiveVMIndex, VMState
 from repro.resilience.admission import AdmissionController, AdmissionRejected
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.health import HostHealthService
@@ -307,6 +308,10 @@ class RegionSimulation:
             self.engine.on(PARTITION_END, self._handle_partition_end)
 
         self.vms: dict[str, VM] = {}
+        #: ``self.vms`` in creation order with the live ones indexable:
+        #: resize picks its victim here instead of filtering every VM ever
+        #: created.
+        self._live = LiveVMIndex()
         self.demands: dict[str, VMDemand] = {}
         #: Per-VM compiled waveform evaluators (columnar scrape path).
         #: Entries are validated by demand-object identity on every use and
@@ -341,6 +346,11 @@ class RegionSimulation:
             n.node_id: HostCpuModel(n.physical.vcpus, efficiency=0.97)
             for n in self.region.iter_nodes()
         }
+        # The arrival flavor mix over this catalog, fixed at construction.
+        mix = [(n, w) for n, w in FLAVOR_MIX if w > 0 and n in self.catalog]
+        self._mix_flavors = [self.catalog.get(n) for n, _ in mix]
+        weights = np.asarray([w for _, w in mix])
+        self._mix_p = weights / weights.sum()
 
     # -- public API ---------------------------------------------------------------
 
@@ -497,7 +507,7 @@ class RegionSimulation:
         node = (
             self._node_index.get(result.host_id)
             if bb is None
-            else self._pick_node(bb, flavor)
+            else bb.pick_node(flavor.requested())
         )
         if bb is None:
             # Holistic scheduler returned a node id directly.
@@ -512,6 +522,7 @@ class RegionSimulation:
         vm.transition(VMState.ACTIVE)
         node.add_vm(vm)
         self.vms[vm_id] = vm
+        self._live.add(vm)
         self.demands[vm_id] = self.demand_model.demand_for(flavor, profile)
         self.created += 1
         lifetime = sample_lifetime(profile.name, self.rng)
@@ -537,22 +548,13 @@ class RegionSimulation:
         Nova resizes re-run the scheduler; the VM may land on a different
         compute host.  On failure the original allocation is restored.
         """
-        candidates = [vm for vm in self.vms.values() if vm.alive]
-        if not candidates:
+        live = self._live
+        if not live:
             return
-        vm = candidates[int(self.rng.integers(0, len(candidates)))]
-        bigger = sorted(
-            (
-                f
-                for f in self.catalog.by_family(vm.flavor.family)
-                if f.vcpus > vm.flavor.vcpus
-                and f.spec("aggregate_class") == vm.flavor.spec("aggregate_class")
-            ),
-            key=lambda f: f.vcpus,
-        )
-        if not bigger:
+        vm = live.nth_live(int(self.rng.integers(0, len(live))))
+        new_flavor = self.catalog.next_larger(vm.flavor)
+        if new_flavor is None:
             return
-        new_flavor = bigger[0]
         old_flavor = vm.flavor
         old_node = self._node_index[vm.node_id]
         old_bb = self._bb_index[old_node.building_block]
@@ -569,7 +571,7 @@ class RegionSimulation:
             node = (
                 self._node_index.get(result.host_id)
                 if bb is None
-                else self._pick_node(bb, new_flavor)
+                else bb.pick_node(new_flavor.requested())
             )
             if node is None:
                 raise NoValidHost("no node fits the resized VM")
@@ -905,30 +907,5 @@ class RegionSimulation:
     # -- helpers ------------------------------------------------------------------
 
     def _pick_flavor(self):
-        from repro.datagen.population import FLAVOR_MIX
-
-        names = [n for n, w in FLAVOR_MIX if w > 0 and n in self.catalog]
-        weights = np.asarray([w for n, w in FLAVOR_MIX if w > 0 and n in self.catalog])
-        idx = self.rng.choice(len(names), p=weights / weights.sum())
-        return self.catalog.get(names[int(idx)])
-
-    def _pick_node(self, bb: BuildingBlock, flavor) -> ComputeNode | None:
-        fitting = [
-            n
-            for n in bb.iter_nodes()
-            if n.healthy and flavor.requested().fits_within(n.free(bb.overcommit))
-        ]
-        if not fitting:
-            return None
-        if bb.policy == "pack":
-            return max(
-                fitting,
-                key=lambda n: (
-                    n.allocated().memory_mb / n.physical.memory_mb,
-                    n.node_id,
-                ),
-            )
-        return min(
-            fitting,
-            key=lambda n: (n.allocated().vcpus / n.physical.vcpus, n.node_id),
-        )
+        idx = self.rng.choice(len(self._mix_flavors), p=self._mix_p)
+        return self._mix_flavors[int(idx)]

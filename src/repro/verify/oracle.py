@@ -268,7 +268,7 @@ def replay_workload(
                 trace.append((op.vm_id, None, 0.0, 0))
             else:
                 bb = bb_index[result.host_id]
-                node = _pick_node(bb, spec_req)
+                node = bb.pick_node(spec_req.requested())
                 if node is None:
                     # BB-level room but no single node fits: release, as
                     # the simulation runner does.
@@ -335,35 +335,9 @@ def replay_workload(
     )
 
 
-def _pick_node(bb: BuildingBlock, spec: RequestSpec) -> ComputeNode | None:
-    """Policy-aware node choice, mirroring the simulation runner."""
-    fitting = [
-        n
-        for n in bb.iter_nodes()
-        if n.healthy and spec.requested().fits_within(n.free(bb.overcommit))
-    ]
-    if not fitting:
-        return None
-    if bb.policy == "pack":
-        return max(
-            fitting,
-            key=lambda n: (
-                n.allocated().memory_mb / n.physical.memory_mb,
-                n.node_id,
-            ),
-        )
-    return min(
-        fitting, key=lambda n: (n.allocated().vcpus / n.physical.vcpus, n.node_id)
-    )
-
-
-#: Public aliases: the recovery layer replays the same workload through
-#: the same node-choice policy and inventory snapshot as the oracle, so
-#: a recovered run is comparable field-by-field with an oracle replay.
-def pick_node(bb: BuildingBlock, spec: RequestSpec) -> ComputeNode | None:
-    return _pick_node(bb, spec)
-
-
+#: Public alias: the recovery layer snapshots inventory the same way as the
+#: oracle, so a recovered run is comparable field-by-field with an oracle
+#: replay.
 def inventory_snapshot(
     placement: PlacementService, bb_index: dict[str, BuildingBlock]
 ) -> dict[str, dict[str, float | int]]:

@@ -13,6 +13,7 @@ consistently live shorter" observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,17 +39,23 @@ class LifetimeModel:
         if not np.isclose(total, 1.0, atol=1e-6):
             raise ValueError(f"mixture weights must sum to 1, got {total}")
 
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """Draw ``n`` lifetimes in seconds."""
+    @cached_property
+    def _mixture(self) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
+        """Component weights and (log-median, sigma) pairs, computed once."""
         components = (self.ephemeral, self.project, self.persistent)
         weights = np.asarray([c[0] for c in components])
+        return weights, tuple((np.log(median), sigma) for _, median, sigma in components)
+
+    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        """Draw ``n`` lifetimes in seconds."""
+        weights, params = self._mixture
         choice = rng.choice(3, size=n, p=weights)
         out = np.empty(n)
-        for i, (_, median, sigma) in enumerate(components):
+        for i, (log_median, sigma) in enumerate(params):
             mask = choice == i
             count = int(mask.sum())
             if count:
-                out[mask] = rng.lognormal(np.log(median), sigma, count)
+                out[mask] = rng.lognormal(log_median, sigma, count)
         # Floor at one minute: sub-minute VMs don't appear in the dataset.
         return np.maximum(out, 60.0)
 

@@ -215,6 +215,9 @@ _GENERAL_MIX: tuple[tuple[str, float], ...] = (
     ("general", 0.25),
     ("abap_app", 0.10),
 )
+_GENERAL_PROFILES = tuple(PROFILES[name] for name, _ in _GENERAL_MIX)
+_GENERAL_WEIGHTS = np.asarray([w for _, w in _GENERAL_MIX])
+_GENERAL_P = _GENERAL_WEIGHTS / _GENERAL_WEIGHTS.sum()
 
 
 def profile_for_flavor(flavor: Flavor, rng: np.random.Generator) -> WorkloadProfile:
@@ -231,7 +234,5 @@ def profile_for_flavor(flavor: Flavor, rng: np.random.Generator) -> WorkloadProf
         return PROFILES["k8s_infra"]
     if flavor.vcpus > 16 and rng.random() < 0.5:
         return PROFILES["abap_app"]
-    names = [name for name, _ in _GENERAL_MIX]
-    weights = np.asarray([w for _, w in _GENERAL_MIX])
-    choice = rng.choice(len(names), p=weights / weights.sum())
-    return PROFILES[names[int(choice)]]
+    choice = rng.choice(len(_GENERAL_PROFILES), p=_GENERAL_P)
+    return _GENERAL_PROFILES[int(choice)]
