@@ -317,9 +317,6 @@ def bench_sim(config: BenchConfig) -> dict:
         "sim_placement_stats": fast.placement.stats(),
     }
     if config.sim_days == 30.0:
-        # Deprecated alias of sim_wall_s, kept one release for external
-        # consumers of BENCH_scale.json; see the artifact's schema notes.
-        out["sim_30day_wall_s"] = fast_s
         out["sim_speedup_vs_pre_pr"] = PRE_PR_BASELINE["sim_30day_wall_s"] / fast_s
     return out
 
@@ -443,14 +440,6 @@ def run_bench(config: BenchConfig | None = None, echo=None) -> dict:
         "bench": "scale",
         "config": asdict(config),
         "baseline_pre_pr": dict(PRE_PR_BASELINE),
-        "schema": {
-            "deprecated": {
-                "results.sim_30day_wall_s": (
-                    "alias of results.sim_wall_s (emitted only while "
-                    "sim_days == 30); consumers should read sim_wall_s"
-                ),
-            },
-        },
         "results": results,
     }
 

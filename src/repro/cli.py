@@ -278,23 +278,28 @@ def _scenario_spec_from_config(
     """Resolve a ``--config`` dict into a ScenarioSpec over ``base``.
 
     Canonical ScenarioSpec-shaped files overlay the flag-derived base
-    spec (file keys win); the two legacy per-CLI shapes route through
-    their deprecated shims.  Every validation failure exits 2 with the
-    offending key named.
+    spec (file keys win).  Every validation failure exits 2 with the
+    offending key named; the retired per-CLI shapes exit 2 naming the
+    expected shape.
     """
     from repro.config import (
         ScenarioSpec,
         looks_like_legacy_chaos_dict,
         looks_like_legacy_faults_dict,
-        spec_from_legacy_chaos_dict,
-        spec_from_legacy_faults_dict,
     )
 
+    if what == "faults" and looks_like_legacy_faults_dict(data):
+        raise _config_error(
+            f"repro: faults config {path}: flat FaultConfig fields are no "
+            'longer accepted; use the ScenarioSpec shape {"faults": {...}}'
+        )
+    if what == "chaos" and looks_like_legacy_chaos_dict(data):
+        raise _config_error(
+            f"repro: chaos config {path}: bare faults/resilience sections are "
+            "no longer accepted; use the ScenarioSpec shape "
+            '{"topology": "chaos", "faults": {...}, "resilience": {...}}'
+        )
     try:
-        if what == "faults" and looks_like_legacy_faults_dict(data):
-            return spec_from_legacy_faults_dict(data, base)
-        if what == "chaos" and looks_like_legacy_chaos_dict(data):
-            return spec_from_legacy_chaos_dict(data, base)
         doc = base.to_dict()
         doc.update(data)
         return ScenarioSpec.from_dict(doc)
@@ -326,16 +331,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         faults=faults,
     )
     if args.config:
-        from repro.config import looks_like_legacy_faults_dict
-
         data = _load_config_file(args.config, "faults")
-        if looks_like_legacy_faults_dict(data):
-            # Legacy flat shape: the injector seed historically defaulted
-            # to the --fault-seed / --seed flags, not FaultConfig's own.
-            data.setdefault(
-                "seed",
-                args.fault_seed if args.fault_seed is not None else args.seed,
-            )
         spec = _scenario_spec_from_config(data, spec, "faults", args.config)
     print(
         f"Running fault scenario: {spec.building_blocks} BBs x "

@@ -26,17 +26,15 @@ Canonical JSON shape (all keys optional, unknown keys rejected)::
       "resilience": { ... ResilienceConfig fields ... }
     }
 
-The old per-CLI shapes remain readable through the deprecated shims
-:func:`spec_from_legacy_faults_dict` / :func:`spec_from_legacy_chaos_dict`
-for one release; ``scripts/check_api_deprecations.sh`` gates first-party
-code onto the canonical shape.
+The old per-CLI shapes (flat FaultConfig fields, bare
+``{"faults": ..., "resilience": ...}`` sections) are rejected with an
+error naming this shape.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -307,58 +305,25 @@ class ScenarioSpec:
         return sim.run()
 
 
-# -- deprecated per-CLI config shims ---------------------------------------
+# -- retired per-CLI config shapes -------------------------------------------
 #
-# Kept for one release so existing --config files keep working; gated by
-# scripts/check_api_deprecations.sh so no first-party code depends on
-# them.  New files should use the canonical ScenarioSpec shape above.
+# Before ScenarioSpec, ``repro faults --config`` took flat FaultConfig
+# fields and ``repro chaos --config`` took bare ``{"faults": ...,
+# "resilience": ...}`` sections.  Neither is accepted any more; the CLI
+# recognises them only to name the expected shape in its error.
 
 
 def looks_like_legacy_faults_dict(data: dict) -> bool:
-    """True when ``data`` is the old flat FaultConfig shape.
+    """True when ``data`` is the retired flat FaultConfig shape.
 
     The discriminator is conservative: every key must be a FaultConfig
-    field.  (``{"seed": N}`` alone is ambiguous and stays legacy, which
-    preserves the historical ``repro faults --config`` semantics.)
+    field.  (``{"seed": N}`` alone is ambiguous -- it used to seed the
+    injector -- so it is rejected rather than silently reinterpreted.)
     """
     fault_fields = {f.name for f in fields(FaultConfig)}
     return bool(data) and set(data) <= fault_fields
 
 
 def looks_like_legacy_chaos_dict(data: dict) -> bool:
-    """True when ``data`` is the old sections-only chaos shape."""
+    """True when ``data`` is the retired sections-only chaos shape."""
     return bool(data) and set(data) <= {"faults", "resilience"}
-
-
-def spec_from_legacy_faults_dict(
-    data: dict, base: ScenarioSpec
-) -> ScenarioSpec:
-    """Deprecated: flat FaultConfig fields → ``base`` with those faults."""
-    warnings.warn(
-        "flat FaultConfig --config files are deprecated; use the "
-        'ScenarioSpec shape ({"faults": {...}, ...}) instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return replace(base, faults=FaultConfig.from_dict(data))
-
-
-def spec_from_legacy_chaos_dict(
-    data: dict, base: ScenarioSpec
-) -> ScenarioSpec:
-    """Deprecated: sections-only chaos shape → ``base`` with overrides."""
-    warnings.warn(
-        'sections-only chaos --config files ({"faults": ..., '
-        '"resilience": ...}) are deprecated; use the full ScenarioSpec '
-        'shape (add "topology": "chaos") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = base
-    if "faults" in data:
-        spec = replace(spec, faults=FaultConfig.from_dict(data["faults"]))
-    if "resilience" in data:
-        spec = replace(
-            spec, resilience=ResilienceConfig.from_dict(data["resilience"])
-        )
-    return spec

@@ -6,10 +6,7 @@ candidate against placement.  Nova's greedy-with-retries behaviour is
 reproduced: if the claim races and fails, the next-ranked alternate is
 tried, up to ``max_attempts``.
 
-Configuration goes through :class:`~repro.scheduler.config.SchedulerConfig`;
-the pre-config keyword arguments (``filters=``, ``weighers=``,
-``max_attempts=``, ``alternates=``) are deprecated shims kept for one
-release.
+Configuration goes through :class:`~repro.scheduler.config.SchedulerConfig`.
 
 Hot-path behaviour: with ``config.use_index`` (the default) candidate
 states come from an incremental :class:`~repro.scheduler.index.HostStateIndex`
@@ -22,12 +19,11 @@ is dropped); the equivalence tests pin this.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.infrastructure.hierarchy import Region
 from repro.scheduler.config import SchedulerConfig
-from repro.scheduler.filters import ComputeFilter, Filter, VCpuFilter, default_filters
+from repro.scheduler.filters import ComputeFilter, VCpuFilter, default_filters
 from repro.scheduler.hoststate import HostState
 from repro.scheduler.index import HostStateIndex
 from repro.scheduler.placement import AllocationError, PlacementService
@@ -62,39 +58,8 @@ class FilterScheduler:
         region: Region,
         placement: PlacementService,
         config: SchedulerConfig | None = None,
-        *,
-        filters: list[Filter] | None = None,
-        weighers: list[Weigher] | None = None,
-        max_attempts: int | None = None,
-        alternates: int | None = None,
     ) -> None:
-        if isinstance(config, (list, tuple)):
-            # Legacy positional call: FilterScheduler(region, placement, [f...]).
-            filters, config = list(config), None
-        legacy = {
-            key: value
-            for key, value in (
-                ("filters", filters),
-                ("weighers", weighers),
-                ("max_attempts", max_attempts),
-                ("alternates", alternates),
-            )
-            if value is not None
-        }
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either a SchedulerConfig or the legacy keyword "
-                    "arguments, not both"
-                )
-            warnings.warn(
-                "FilterScheduler(filters=/weighers=/max_attempts=/alternates=) "
-                "is deprecated; pass a SchedulerConfig instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = SchedulerConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = SchedulerConfig()
         self.region = region
         self.placement = placement

@@ -1,10 +1,10 @@
 """Canonical counter names shared by schedulers and the placement service.
 
 Scheduler implementations and :class:`~repro.scheduler.placement.PlacementService`
-each keep simple operation counters.  Historically the key names drifted
-("failed" vs "failures"); this module pins the canonical vocabulary and
-provides one ``stats_of`` accessor the bench harness (and any other
-consumer) can point at either object without caring which it got.
+each keep simple operation counters.  This module pins the canonical
+vocabulary and provides one ``stats_of`` accessor the bench harness (and
+any other consumer) can point at either object without caring which it
+got.
 """
 
 from __future__ import annotations
@@ -17,27 +17,17 @@ SCHEDULER_STAT_KEYS = ("requests", "placed", "failed", "retries")
 #: Canonical counter keys for the placement service.
 PLACEMENT_STAT_KEYS = ("claims", "releases", "moves", "failed")
 
-#: Legacy spellings mapped onto the canonical keys.
-_ALIASES = {
-    "failures": "failed",
-    "failure": "failed",
-    "retry": "retries",
-    "request": "requests",
-    "placements": "placed",
-}
-
-
 def normalize_stats(
     raw: Mapping[str, int], keys: tuple[str, ...] | None = None
 ) -> dict[str, int]:
-    """Return ``raw`` with legacy key spellings folded onto canonical ones.
+    """Return an int-valued copy of ``raw``.
 
     When ``keys`` is given, every canonical key is present in the result
-    (missing counters default to 0) and unknown keys are preserved as-is.
+    (missing counters default to 0) and other keys are preserved as-is.
     """
     out: dict[str, int] = {k: 0 for k in keys} if keys else {}
     for key, value in raw.items():
-        out[_ALIASES.get(key, key)] = int(value)
+        out[key] = int(value)
     return out
 
 

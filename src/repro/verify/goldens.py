@@ -14,9 +14,7 @@ document depends on wall clock, host name, or filesystem layout.
 
 Storage: goldens are gzip-compressed (``.json.gz``, written with a
 zeroed mtime so compression itself is byte-stable) — the documents are
-highly repetitive JSON and compress ~20x.  Loading is transparent: a
-legacy uncompressed ``.json`` file is still read if no ``.json.gz``
-exists, and ``--update-goldens`` always writes the compressed form.
+highly repetitive JSON and compress ~20x.
 """
 
 from __future__ import annotations
@@ -128,25 +126,12 @@ def golden_path(goldens_dir: Path, scenario_name: str, seed: int) -> Path:
     return Path(goldens_dir) / f"{scenario_name}-seed{seed}.json.gz"
 
 
-def _legacy_path(path: Path) -> Path:
-    """The pre-compression location: same name without the ``.gz``."""
-    return path.with_suffix("")
-
-
 def read_golden_text(path: Path) -> str | None:
-    """Load a golden's text, transparently handling both storage forms.
-
-    Prefers the compressed file at ``path``; falls back to a legacy
-    uncompressed sibling.  Returns None when neither exists.
-    """
-    io = active_io()
-    if path.exists():
-        data = io.read_bytes(path, point="golden.read")
-        return gzip.decompress(data).decode("utf-8")
-    legacy = _legacy_path(path)
-    if legacy.exists():
-        return io.read_bytes(legacy, point="golden.read").decode("utf-8")
-    return None
+    """Load and decompress a golden's text; None when it does not exist."""
+    if not path.exists():
+        return None
+    data = active_io().read_bytes(path, point="golden.read")
+    return gzip.decompress(data).decode("utf-8")
 
 
 def write_golden_text(path: Path, text: str) -> None:
@@ -155,15 +140,11 @@ def write_golden_text(path: Path, text: str) -> None:
     Committed through :func:`repro.iofaults.layer.atomic_write_bytes`
     (IO points ``golden.*``) — fsynced temp file, rename, directory
     fsync — so an interrupted ``--update-goldens`` can never leave a
-    torn golden.  A leftover legacy ``.json`` sibling is removed so the
-    store never holds two divergent copies of the same golden.
+    torn golden.
     """
     atomic_write_bytes(
         path, gzip.compress(text.encode("utf-8"), mtime=0), points="golden"
     )
-    legacy = _legacy_path(path)
-    if legacy.exists():
-        legacy.unlink()
 
 
 @dataclass

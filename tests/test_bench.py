@@ -192,10 +192,6 @@ class TestSweepStage:
         assert results["sweep_scenarios_per_hour_nw"] > 0
         assert results["sweep_cpu_count"] >= 1
 
-    def test_sim_30day_alias_flagged_deprecated_in_schema(self, payload):
-        note = payload["schema"]["deprecated"]["results.sim_30day_wall_s"]
-        assert "sim_wall_s" in note
-
     def test_sweep_divergence_reported(self):
         results = {key: 1.0 for key in REQUIRED_KEYS}
         results["placements_identical"] = True

@@ -148,11 +148,6 @@ class TestReads:
         assert fresh is not first
         assert list(fresh.timestamps) == [0, 60, 120, 180]
 
-    def test_query_range_shim_warns_and_delegates(self, store):
-        with pytest.warns(DeprecationWarning, match="query_range is deprecated"):
-            out = store.query_range("cpu", {"host": "n1", "dc": "a"}, 60, 121)
-        assert list(out.timestamps) == [60, 120]
-
     def test_select_with_matcher(self, store):
         matched = list(store.select("cpu", {"host": "n1"}))
         assert len(matched) == 1

@@ -125,15 +125,6 @@ class TestProgrammaticFrontEnd:
         series = query_range(store, "cpu_pct", {"host": "a", "dc": "one"}, 60, 180)
         assert list(series.timestamps) == [60, 120]
 
-    def test_query_range_matches_deprecated_store_shim(self, store):
-        via_front_end = query_range(
-            store, "cpu_pct", {"host": "b", "dc": "one"}, 0, 120
-        )
-        with pytest.warns(DeprecationWarning):
-            via_shim = store.query_range("cpu_pct", {"host": "b", "dc": "one"}, 0, 120)
-        assert list(via_front_end.timestamps) == list(via_shim.timestamps)
-        assert list(via_front_end.values) == list(via_shim.values)
-
     def test_instant_reads_latest_at_or_before(self, store):
         assert instant(store, "cpu_pct", {"host": "a", "dc": "one"}, 70.0) == 20
         assert instant(store, "cpu_pct", {"host": "a", "dc": "one"}, -1.0) is None

@@ -11,8 +11,6 @@ from repro.config import (
     looks_like_legacy_faults_dict,
     scheduler_config_from_dict,
     scheduler_config_to_dict,
-    spec_from_legacy_chaos_dict,
-    spec_from_legacy_faults_dict,
 )
 from repro.faults.config import FaultConfig
 from repro.faults.scenario import ScenarioConfig, scenario_topology
@@ -171,24 +169,6 @@ class TestLegacyShims:
         assert looks_like_legacy_chaos_dict({"faults": {}, "resilience": {}})
         assert not looks_like_legacy_chaos_dict({"topology": "chaos"})
         assert not looks_like_legacy_chaos_dict({})
-
-    def test_faults_shim_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            spec = spec_from_legacy_faults_dict(
-                {"seed": 5, "host_failure_rate_per_day": 1.0}, ScenarioSpec()
-            )
-        assert spec.faults.seed == 5
-        assert spec.faults.host_failure_rate_per_day == 1.0
-
-    def test_chaos_shim_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            spec = spec_from_legacy_chaos_dict(
-                {"resilience": {"seed": 9}},
-                ScenarioSpec(topology="chaos", faults=FaultConfig(seed=2)),
-            )
-        assert spec.resilience.seed == 9
-        # The base's faults survive a resilience-only legacy file.
-        assert spec.faults.seed == 2
 
     def test_canonical_shape_does_not_warn(self):
         with warnings.catch_warnings():

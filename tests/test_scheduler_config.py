@@ -1,7 +1,7 @@
 """Tests for SchedulerConfig and the consolidated scheduler API.
 
-Covers the config value object itself, the deprecated keyword shims on
-``FilterScheduler``, the shared stats vocabulary, and — most importantly —
+Covers the config value object itself, the rejection of the retired
+keyword arguments on ``FilterScheduler``, the shared stats vocabulary, and — most importantly —
 placement equivalence: every (use_index, track_filter_counts) combination
 must produce byte-identical placements for the same request stream.
 """
@@ -105,23 +105,14 @@ class TestDeprecatedShims:
             {"filters": [ComputeFilter()]},
         ],
     )
-    def test_legacy_kwargs_warn_and_apply(self, region_placement, kwargs):
+    def test_retired_kwargs_are_rejected(self, region_placement, kwargs):
         region, placement = region_placement
-        with pytest.warns(DeprecationWarning, match="pass a SchedulerConfig"):
-            scheduler = FilterScheduler(region, placement, **kwargs)
-        for key, value in kwargs.items():
-            assert getattr(scheduler.config, key) == value
-
-    def test_legacy_positional_filter_list_warns(self, region_placement):
-        region, placement = region_placement
-        chain = [ComputeFilter()]
-        with pytest.warns(DeprecationWarning):
-            scheduler = FilterScheduler(region, placement, chain)
-        assert scheduler.filters == chain
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            FilterScheduler(region, placement, **kwargs)
 
     def test_config_plus_legacy_kwarg_is_an_error(self, region_placement):
         region, placement = region_placement
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             FilterScheduler(
                 region, placement, SchedulerConfig(), max_attempts=2
             )
@@ -197,11 +188,8 @@ class TestSharedStats:
         assert stats_of(scheduler)["requests"] == 5  # mapping attribute
         assert stats_of(placement)["claims"] >= 1  # method
 
-    def test_normalize_folds_legacy_spellings(self):
-        out = normalize_stats(
-            {"failures": 2, "retry": 1, "placements": 3}, SCHEDULER_STAT_KEYS
-        )
-        assert out["failed"] == 2
-        assert out["retries"] == 1
-        assert out["placed"] == 3
-        assert out["requests"] == 0
+    def test_normalize_fills_canonical_keys(self):
+        out = normalize_stats({"failed": 2, "extra": 1}, SCHEDULER_STAT_KEYS)
+        assert out == {
+            "requests": 0, "placed": 0, "failed": 2, "retries": 0, "extra": 1
+        }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.infrastructure.flavors import default_catalog
+from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.filters import default_filters
 from repro.scheduler.pipeline import FilterScheduler, NoValidHost
 from repro.scheduler.placement import PlacementService
@@ -63,7 +64,9 @@ class TestFiltersEndToEnd:
             ServerGroupAffinityFilter(registry),
             ServerGroupAntiAffinityFilter(registry),
         ]
-        return FilterScheduler(tiny_region, placement, filters=filters)
+        return FilterScheduler(
+            tiny_region, placement, SchedulerConfig(filters=filters)
+        )
 
     def test_anti_affinity_spreads_members(self, tiny_region, registry):
         registry.create("ha", "anti-affinity")

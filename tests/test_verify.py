@@ -207,22 +207,6 @@ def test_golden_lifecycle(tmp_path):
     assert '"requests"' in result.diff
 
 
-def test_golden_legacy_uncompressed_fallback(tmp_path):
-    """A pre-compression .json golden is still read transparently."""
-    text = render_document(golden_document(TINY, 7))
-    path = golden_path(tmp_path, TINY.name, 7)
-    legacy = path.with_suffix("")  # strips .gz -> the old .json name
-    legacy.write_text(text)
-    assert read_golden_text(path) == text
-    assert check_golden(TINY, 7, tmp_path).ok
-
-    # --update-goldens migrates: writes .json.gz, removes the .json.
-    update_golden(TINY, 7, tmp_path)
-    assert path.exists()
-    assert not legacy.exists()
-    assert check_golden(TINY, 7, tmp_path).ok
-
-
 def test_checked_in_goldens_match():
     """The goldens under tests/goldens/ track the current behaviour."""
     result = check_golden(TINY, 7)
