@@ -35,7 +35,7 @@ def _skewed_cluster(nodes: int = 16, vms: int = 120, seed: int = 2) -> BuildingB
         flavor = catalog.get(str(rng.choice(names)))
         vm = VM(vm_id=f"v{i:03d}", flavor=flavor)
         target = first[i % 2]
-        if vm.requested().fits_within(target.free(bb.overcommit)):
+        if target.fits(vm.requested(), bb.overcommit):
             target.add_vm(vm)
     return bb
 

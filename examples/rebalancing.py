@@ -38,7 +38,7 @@ def main() -> None:
         flavor = catalog.get(str(rng.choice(["g_c4_m16", "g_c8_m32", "g_c16_m64"])))
         vm = VM(vm_id=f"vm-{i:03d}", flavor=flavor)
         node = nodes[i % max(1, len(nodes) // 3)]  # only the first third
-        if not vm.requested().fits_within(node.free(target_bb.overcommit)):
+        if not node.fits(vm.requested(), target_bb.overcommit):
             continue
         node.add_vm(vm)
         placement.claim(vm.vm_id, target_bb.bb_id, vm.requested())

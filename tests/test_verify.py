@@ -11,7 +11,6 @@ from repro.scheduler.hoststate import HostState
 from repro.verify.goldens import (
     check_golden,
     golden_document,
-    golden_path,
     read_golden_text,
     render_document,
     update_golden,
