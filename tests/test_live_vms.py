@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultConfig
 from repro.infrastructure.flavors import default_catalog
-from repro.infrastructure.vm import VM, LiveVMIndex, VMState
+from repro.infrastructure.vm import _TRANSITIONS, VM, LiveVMIndex, VMState
 from repro.simulation.runner import RegionSimulation, SimulationConfig
 from tests.conftest import build_tiny_region_spec
 
@@ -47,16 +47,7 @@ def test_index_matches_reference_under_random_transitions(ops):
             index.add(vm)
         elif vms:
             vm = vms[a % len(vms)]
-            legal = {
-                VMState.REQUESTED: [VMState.BUILDING, VMState.ERROR],
-                VMState.BUILDING: [VMState.ACTIVE, VMState.ERROR, VMState.DELETED],
-                VMState.ACTIVE: [VMState.RESIZING, VMState.MIGRATING,
-                                 VMState.ERROR, VMState.DELETED],
-                VMState.RESIZING: [VMState.ACTIVE, VMState.ERROR],
-                VMState.MIGRATING: [VMState.ACTIVE, VMState.ERROR],
-                VMState.ERROR: [VMState.BUILDING, VMState.DELETED],
-                VMState.DELETED: [],
-            }[vm.state]
+            legal = sorted(_TRANSITIONS[vm.state], key=lambda s: s.value)
             if legal:
                 vm.transition(legal[a % len(legal)])
         reference = _reference(vms)
