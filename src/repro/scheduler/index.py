@@ -9,15 +9,19 @@ building block and maintains it incrementally:
 * a :class:`~repro.scheduler.placement.PlacementService` listener updates
   free capacities the instant a claim / release / move lands — exactly,
   since free capacity derives from the provider alone, no rebuild needed;
-* a cheap *fingerprint scan* — ``(vm_count, any_healthy)`` per building
-  block, one pass over the node registries — catches mutations that do
-  not flow through placement (host failures, maintenance, node-level VM
-  bookkeeping).  The scan itself is skipped in O(1) whenever
-  :data:`repro.infrastructure.hierarchy.NODE_MUTATION_EPOCH` shows no
-  node changed since the last query.  A drifted block is rebuilt from
-  the per-node resident-VM memos (:meth:`ComputeNode.tenants`), so
-  reflecting one node-level add or remove re-reads only the touched
-  node's VMs: O(nodes in the block + VMs on the touched node);
+* a cheap *fingerprint scan* — ``(vm_count, vm_epochs, any_healthy)``
+  per building block, one pass over the node registries, where
+  ``vm_epochs`` sums the nodes' add/remove counters — catches mutations
+  that do not flow through placement (host failures, maintenance,
+  node-level VM bookkeeping).  The epoch sum grows on every add or
+  remove, so a swap that keeps the VM count (but may change the tenant
+  set) still marks the block.  The scan itself is skipped in O(1)
+  whenever :data:`repro.infrastructure.hierarchy.NODE_MUTATION_EPOCH`
+  shows no node changed since the last query.  A drifted block is
+  rebuilt from the per-node resident-VM memos
+  (:meth:`ComputeNode.tenants`), so reflecting one node-level add or
+  remove re-reads only the touched node's VMs: O(nodes in the block +
+  VMs on the touched node);
 * free-vCPU *buckets* (log₂-spaced) give a constant-time superset of the
   hosts that can possibly satisfy a request's vCPU demand, so capacity
   filters start from a pre-narrowed candidate list.
@@ -34,6 +38,8 @@ Invariants (checked by the property tests):
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.infrastructure import hierarchy
 from repro.infrastructure.hierarchy import BuildingBlock, Region
 from repro.scheduler.hoststate import HostState
@@ -44,6 +50,9 @@ from repro.scheduler.placement import (
     AllocationError,
     PlacementService,
 )
+
+
+_vm_epoch_of = attrgetter("_vm_epoch")
 
 
 def bucket_key(free_vcpus: float) -> int:
@@ -62,14 +71,15 @@ class HostStateIndex:
         }
         self._order: list[str] = list(self._bbs)
         self._states: dict[str, HostState] = {}
-        #: bb_id -> (vm_count, any_healthy) at last rebuild
-        self._fingerprints: dict[str, tuple[int, bool]] = {}
+        #: bb_id -> (vm_count, vm_epochs, any_healthy) at last rebuild
+        self._fingerprints: dict[str, tuple[int, int, bool]] = {}
         self._dirty: set[str] = set(self._bbs)
         self._buckets: dict[int, set[str]] = {}
         self._bucket_of: dict[str, int] = {}
         #: Scan accelerators, refreshed on rebuild: the node tuple and the
         #: *live* per-node VM dicts (len() on them always reflects current
-        #: occupancy — nodes mutate these dicts in place, never replace them).
+        #: occupancy — nodes mutate these dicts in place, never replace
+        #: them, and members change only through ``add_node``).
         self._scan_nodes: dict[str, tuple] = {}
         self._scan_vms: dict[str, list[dict]] = {}
         #: Last hierarchy.NODE_MUTATION_EPOCH the fingerprint scan ran at;
@@ -136,19 +146,21 @@ class HostStateIndex:
         for bb_id, bb in self._bbs.items():
             if bb_id in dirty:
                 continue
-            # O(nodes) with a tiny constant: C-level sum over the cached
-            # live VM dicts, short-circuiting any() on the raw flags (skips
-            # per-node ``healthy`` property-call overhead).  Node membership
-            # changes are caught by the length check.
+            # O(nodes) with a tiny constant: C-level sums over the cached
+            # live VM dicts and the nodes' add/remove counters,
+            # short-circuiting any() on the raw flags (skips per-node
+            # ``healthy`` property-call overhead).  Node membership changes
+            # are caught by the length check.
             nodes = scan_nodes[bb_id]
             if len(nodes) != len(bb.nodes):
                 dirty.add(bb_id)
                 continue
             vm_count = sum(map(len, scan_vms[bb_id]))
+            vm_epochs = sum(map(_vm_epoch_of, nodes))
             healthy = any(
                 not (n.maintenance or n.failed or n.quarantined) for n in nodes
             )
-            if fingerprints.get(bb_id) != (vm_count, healthy):
+            if fingerprints.get(bb_id) != (vm_count, vm_epochs, healthy):
                 dirty.add(bb_id)
 
     def _rebuild_one(self, bb_id: str) -> None:
@@ -160,8 +172,12 @@ class HostStateIndex:
             # way a fresh from-scratch rebuild by the caller would re-stamp.
             state.metadata.update(old.metadata)
         self._states[bb_id] = state
-        self._fingerprints[bb_id] = (state.num_instances, state.enabled)
         nodes = tuple(bb.nodes.values())
+        self._fingerprints[bb_id] = (
+            state.num_instances,
+            sum(map(_vm_epoch_of, nodes)),
+            state.enabled,
+        )
         self._scan_nodes[bb_id] = nodes
         self._scan_vms[bb_id] = [n.vms for n in nodes]
         self._place_in_bucket(bb_id, state.free_vcpus)

@@ -28,13 +28,13 @@ shift the request stream between paths.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.datagen.population import FLAVOR_MIX
-from repro.infrastructure.flavors import default_catalog
-from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode, Region
+from repro.infrastructure.flavors import FLAVOR_MIX, default_catalog
+from repro.infrastructure.hierarchy import BuildingBlock, Region
 from repro.infrastructure.topology import TopologySpec, build_region
 from repro.infrastructure.vm import VM, VMState
 from repro.scheduler.config import SchedulerConfig
@@ -186,19 +186,20 @@ def desync_index(
 ) -> bool:
     """Deliberately desync the scheduler cache: ghost-write VM registries.
 
-    Replaces every node ``vms`` dict of the first building block with a
-    copy that gains a ghost VM, through ``object.__setattr__`` so the
-    ``NODE_MUTATION_EPOCH`` bump the setter hook would perform never
-    happens.  This violates the index's documented scan contract (nodes
-    mutate their VM dicts in place, never replace them): the fingerprint
-    scan keeps counting the orphaned dicts, so the ghosts — and every
-    later placement onto the block — stay invisible to the incremental
-    path, while the naive rebuild path sees the true registries on every
-    request.  Exactly the class of bug (mutation outside the tracked
-    paths, no epoch bump) the oracle exists to catch.
+    Swaps every node of the first building block for a copy whose ``vms``
+    registry gains a ghost VM, writing ``bb.nodes`` entries and the copy's
+    fields directly so no ``NODE_MUTATION_EPOCH`` bump, ``add_node`` or
+    ``add_vm`` ever happens.  This violates the index's documented scan
+    contract (the member set changes only through ``add_node``): the
+    fingerprint scan keeps reading the orphaned node objects, whose VM
+    counts and add/remove counters never move again, so the ghosts — and
+    every later placement onto the block — stay invisible to the
+    incremental path, while the naive rebuild path sees the true
+    registries on every request.  Exactly the class of bug (mutation
+    outside the tracked paths, no epoch bump) the oracle exists to catch.
 
     Defers (returns ``False``) while recent ops touched the target block:
-    forking then would freeze registries the index has not yet
+    swapping then would orphan nodes the index has not yet
     re-fingerprinted, and the pending drift would trigger a from-truth
     rebuild that heals the corruption before it can diverge.
     """
@@ -207,13 +208,15 @@ def desync_index(
         return False
     catalog = default_catalog()
     flavor = next(catalog.get(n) for n, w in FLAVOR_MIX if w > 0 and n in catalog)
-    for k, node in enumerate(bb.nodes.values()):
+    for k, node in enumerate(list(bb.nodes.values())):
         ghost = VM(vm_id=f"vf-ghost-{k}", flavor=flavor, tenant="t-ghost")
         ghost.transition(VMState.BUILDING)
         ghost.transition(VMState.ACTIVE)
+        twin = copy.copy(node)
         forked = dict(node.vms)
         forked[ghost.vm_id] = ghost
-        object.__setattr__(node, "vms", forked)
+        object.__setattr__(twin, "vms", forked)
+        bb.nodes[node.node_id] = twin
     return True
 
 
@@ -246,7 +249,9 @@ def replay_workload(
     scheduler = scheduler_cls(region, placement, scheduler_config)
     catalog = default_catalog()
     bb_index = {bb.bb_id: bb for bb in region.iter_building_blocks()}
-    node_of: dict[str, ComputeNode] = {}
+    #: vm_id -> id of the node it landed on; resolved through the region
+    #: at delete time rather than held as an object across ops.
+    node_of: dict[str, str] = {}
     trace: list[tuple[str, str | None, float, int]] = []
     placements: dict[str, str] = {}
     perturbed = perturb is None
@@ -284,7 +289,7 @@ def replay_workload(
                     vm.transition(VMState.ACTIVE)
                     node.add_vm(vm)
                     touched.add(result.host_id)
-                    node_of[op.vm_id] = node
+                    node_of[op.vm_id] = node.node_id
                     placements[op.vm_id] = result.host_id
                     trace.append(
                         (
@@ -295,14 +300,12 @@ def replay_workload(
                         )
                     )
         else:
-            node = node_of.pop(op.vm_id, None)
-            if node is None:
-                continue  # the create was rejected on this path
-            node.remove_vm(op.vm_id)
-            placement.release(op.vm_id)
             bb_id = placements.pop(op.vm_id, None)
-            if bb_id is not None:
-                touched.add(bb_id)
+            if bb_id is None:
+                continue  # the create was rejected on this path
+            bb_index[bb_id].nodes[node_of.pop(op.vm_id)].remove_vm(op.vm_id)
+            placement.release(op.vm_id)
+            touched.add(bb_id)
         if not perturbed and i >= perturb_after:
             perturbed = bool(perturb(region, placement, frozenset(touched)))
 
