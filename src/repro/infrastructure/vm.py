@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.infrastructure.capacity import Capacity
@@ -119,70 +120,44 @@ class VM:
 
 class LiveVMIndex:
     """VMs in registration order, with the live ones countable and
-    indexable in O(log n).
+    indexable without a scan.
 
-    A Fenwick tree over one live bit per VM replaces filtering every VM
-    ever registered for ``alive``: ``len(index)`` is the number of live
-    VMs and ``index.nth_live(k)`` is ``[vm for vm in vms if vm.alive][k]``.
-    Bits follow the VMs' ``state`` through the hook in
-    :meth:`VM.__setattr__`, so a VM that leaves and re-enters the live
-    states (evacuation's ERROR -> BUILDING -> ACTIVE) keeps its position.
+    A sorted list of the live VMs' registration slots replaces filtering
+    every VM ever registered for ``alive``: ``len(index)`` is the number
+    of live VMs and ``index.nth_live(k)`` is
+    ``[vm for vm in vms if vm.alive][k]``.  Slots follow the VMs'
+    ``state`` through the hook in :meth:`VM.__setattr__`, so a VM that
+    leaves and re-enters the live states (evacuation's ERROR -> BUILDING
+    -> ACTIVE) keeps its position.
     """
 
     def __init__(self) -> None:
         self._vms: list[VM] = []
-        self._live: list[bool] = []
-        #: 1-based Fenwick tree over ``_live`` (slot 0 unused).
-        self._tree: list[int] = [0]
-        self._count = 0
+        #: Registration slots of the live VMs, ascending.
+        self._slots: list[int] = []
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._slots)
 
     def add(self, vm: VM) -> None:
         """Register ``vm`` after every VM registered so far."""
-        tree = self._tree
-        slot = len(tree)
-        live = vm.alive
-        # tree[slot] covers slots (slot - lowbit(slot), slot]: its own bit
-        # plus the already-built nodes of the sub-ranges below it.
-        total = int(live)
-        j = slot - 1
-        stop = slot - (slot & -slot)
-        while j > stop:
-            total += tree[j]
-            j -= j & -j
-        tree.append(total)
+        slot = len(self._vms)
         self._vms.append(vm)
-        self._live.append(live)
-        self._count += live
+        if vm.alive:
+            self._slots.append(slot)  # the largest slot so far
         object.__setattr__(vm, "_live_hook", (self, slot))
 
     def _set_live(self, slot: int, live: bool) -> None:
-        if self._live[slot - 1] == live:
-            return
-        self._live[slot - 1] = live
-        delta = 1 if live else -1
-        self._count += delta
-        tree = self._tree
-        size = len(tree)
-        while slot < size:
-            tree[slot] += delta
-            slot += slot & -slot
+        slots = self._slots
+        i = bisect_left(slots, slot)
+        present = i < len(slots) and slots[i] == slot
+        if live and not present:
+            slots.insert(i, slot)
+        elif present and not live:
+            del slots[i]
 
     def nth_live(self, k: int) -> VM:
         """The ``k``-th (0-based) live VM in registration order."""
-        if not 0 <= k < self._count:
+        if not 0 <= k < len(self._slots):
             raise IndexError(f"live VM index {k} out of range")
-        tree = self._tree
-        size = len(tree) - 1
-        pos = 0
-        remaining = k + 1
-        step = 1 << (size.bit_length() - 1)
-        while step:
-            nxt = pos + step
-            if nxt <= size and tree[nxt] < remaining:
-                pos = nxt
-                remaining -= tree[nxt]
-            step >>= 1
-        return self._vms[pos]
+        return self._vms[self._slots[k]]

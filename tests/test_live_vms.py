@@ -1,7 +1,7 @@
 """The live-VM index behind resize-victim selection.
 
 ``RegionSimulation`` picks a resize victim as the k-th live VM in
-creation order.  ``LiveVMIndex`` answers that in O(log n) from live bits
+creation order.  ``LiveVMIndex`` answers that from a sorted list of live slots
 kept in step with each VM's ``state``; these tests hold it to the
 reference list comprehension it replaced, including across evacuation's
 ERROR -> BUILDING -> ACTIVE cycle, and check that ``alive`` stays a
