@@ -37,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datagen.population import FLAVOR_MIX
-from repro.infrastructure.flavors import default_catalog
+from repro.infrastructure.flavors import FLAVOR_MIX, default_catalog
 from repro.infrastructure.topology import build_region, paper_region_spec
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.pipeline import FilterScheduler, NoValidHost

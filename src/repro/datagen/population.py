@@ -1,7 +1,9 @@
 """VM population sampling calibrated to Tables 1 and 2.
 
-``FLAVOR_MIX`` assigns selection weights to the default flavor catalogue so
-that the sampled population reproduces the paper's marginal distributions:
+``FLAVOR_MIX`` (defined next to the catalogue in
+:mod:`repro.infrastructure.flavors`) assigns selection weights to the
+default flavor catalogue so that the sampled population reproduces the
+paper's marginal distributions:
 
 - by vCPU (Table 1): small ≤4 → 62.7%, medium ≤16 → 31.6%,
   large ≤64 → 4.0%, xlarge >64 → 1.6%;
@@ -18,40 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.infrastructure.flavors import Flavor, FlavorCatalog, default_catalog
+from repro.infrastructure.flavors import (
+    FLAVOR_MIX,
+    Flavor,
+    FlavorCatalog,
+    default_catalog,
+)
 from repro.workloads.demand import DemandModel, VMDemand
 from repro.workloads.lifetime import sample_lifetime
 from repro.workloads.profiles import profile_for_flavor
-
-#: (flavor name, sampling weight); weights are normalised at use.  Chosen so
-#: the vCPU and RAM class marginals land on the Table 1/2 proportions.
-FLAVOR_MIX: tuple[tuple[str, float], ...] = (
-    ("g_c1_m1", 0.010),
-    ("g_c1_m2", 0.012),
-    ("g_c2_m4", 0.180),
-    ("g_c2_m8", 0.150),
-    ("g_c4_m8", 0.100),
-    ("g_c4_m16", 0.100),
-    ("g_c4_m32", 0.075),
-    ("g_c8_m32", 0.120),
-    ("g_c8_m64", 0.090),
-    ("g_c16_m64", 0.095),
-    ("g_c16_m128", 0.0000),
-    ("h_c16_m256", 0.011),
-    ("g_c32_m128", 0.017),
-    ("g_c32_m256", 0.006),
-    ("g_c64_m256", 0.005),
-    ("h_c32_m512", 0.006),
-    ("h_c48_m768", 0.004),
-    ("h_c64_m1024", 0.0024),
-    ("h_c80_m1536", 0.006),
-    ("h_c96_m2048", 0.004),
-    ("h_c96_m3072", 0.003),
-    ("h_c112_m4096", 0.0015),
-    ("h_c128_m6144", 0.001),
-    ("h_c128_m12288", 0.0008),
-)
-
 
 @dataclass
 class VMRecord:

@@ -246,3 +246,34 @@ def default_catalog() -> FlavorCatalog:
         )
     )
     return FlavorCatalog(flavors)
+
+
+#: (flavor name, sampling weight) over :func:`default_catalog`; weights are
+#: normalised at use.  Chosen so the vCPU and RAM class marginals of a
+#: sampled population land on the Table 1/2 proportions.
+FLAVOR_MIX: tuple[tuple[str, float], ...] = (
+    ("g_c1_m1", 0.010),
+    ("g_c1_m2", 0.012),
+    ("g_c2_m4", 0.180),
+    ("g_c2_m8", 0.150),
+    ("g_c4_m8", 0.100),
+    ("g_c4_m16", 0.100),
+    ("g_c4_m32", 0.075),
+    ("g_c8_m32", 0.120),
+    ("g_c8_m64", 0.090),
+    ("g_c16_m64", 0.095),
+    ("g_c16_m128", 0.0000),
+    ("h_c16_m256", 0.011),
+    ("g_c32_m128", 0.017),
+    ("g_c32_m256", 0.006),
+    ("g_c64_m256", 0.005),
+    ("h_c32_m512", 0.006),
+    ("h_c48_m768", 0.004),
+    ("h_c64_m1024", 0.0024),
+    ("h_c80_m1536", 0.006),
+    ("h_c96_m2048", 0.004),
+    ("h_c96_m3072", 0.003),
+    ("h_c112_m4096", 0.0015),
+    ("h_c128_m6144", 0.001),
+    ("h_c128_m12288", 0.0008),
+)

@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.datagen.population import FLAVOR_MIX
 from repro.drs.balancer import DrsBalancer, DrsConfig
 from repro.faults import (
     EvacuationManager,
@@ -32,7 +31,7 @@ from repro.faults import (
     TelemetryFaultModel,
     domain_members,
 )
-from repro.infrastructure.flavors import FlavorCatalog, default_catalog
+from repro.infrastructure.flavors import FLAVOR_MIX, FlavorCatalog, default_catalog
 from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode, Region
 from repro.infrastructure.topology import TopologySpec, build_region
 from repro.infrastructure.vm import VM, LiveVMIndex, VMState
