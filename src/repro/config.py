@@ -316,12 +316,14 @@ class ScenarioSpec:
 def looks_like_legacy_faults_dict(data: dict) -> bool:
     """True when ``data`` is the retired flat FaultConfig shape.
 
-    The discriminator is conservative: every key must be a FaultConfig
-    field.  (``{"seed": N}`` alone is ambiguous -- it used to seed the
-    injector -- so it is rejected rather than silently reinterpreted.)
+    Every key must be a FaultConfig field and at least one must be a
+    FaultConfig-only field: keys both configs share (``seed``) are a valid
+    ScenarioSpec overlay on their own.
     """
     fault_fields = {f.name for f in fields(FaultConfig)}
-    return bool(data) and set(data) <= fault_fields
+    fault_only = fault_fields - {f.name for f in fields(ScenarioSpec)}
+    keys = set(data)
+    return keys <= fault_fields and bool(keys & fault_only)
 
 
 def looks_like_legacy_chaos_dict(data: dict) -> bool:

@@ -204,6 +204,27 @@ def test_faults_valid_config_runs(capsys, tmp_path):
     assert report["seed"] == 7
 
 
+def test_faults_seed_only_config_overlays_scenario_seed(capsys, tmp_path):
+    """``{"seed": N}`` is a canonical ScenarioSpec overlay, not the retired
+    flat shape: it sets the workload seed exactly as ``--seed N`` would."""
+    path = tmp_path / "seed.json"
+    path.write_text('{"seed": 3}')
+    argv = [
+        "faults", "--days", "0.05", "--initial-vms", "20",
+        "--arrival-rate", "2", "--fault-seed", "1",
+    ]
+    outputs = {}
+    for name, extra in (
+        ("config", ["--seed", "1", "--config", str(path)]),
+        ("flag", ["--seed", "3"]),
+    ):
+        out_path = tmp_path / f"{name}.json"
+        assert main(argv + extra + ["--out", str(out_path)]) == 0
+        assert "seed 3" in capsys.readouterr().err
+        outputs[name] = out_path.read_text()
+    assert outputs["config"] == outputs["flag"]
+
+
 # -- repro crash -----------------------------------------------------------------
 
 

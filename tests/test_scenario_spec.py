@@ -164,6 +164,8 @@ class TestLegacyShims:
         )
         assert not looks_like_legacy_faults_dict({"faults": {}})
         assert not looks_like_legacy_faults_dict({})
+        # ``seed`` is a ScenarioSpec field too: alone it is a canonical overlay.
+        assert not looks_like_legacy_faults_dict({"seed": 3})
 
     def test_sections_only_chaos_dict_detected(self):
         assert looks_like_legacy_chaos_dict({"faults": {}, "resilience": {}})
