@@ -9,13 +9,13 @@ building block and maintains it incrementally:
 * a :class:`~repro.scheduler.placement.PlacementService` listener updates
   free capacities the instant a claim / release / move lands — exactly,
   since free capacity derives from the provider alone, no rebuild needed;
-* a cheap *fingerprint scan* — ``(vm_count, vm_epochs, any_healthy)``
-  per building block, one pass over the node registries, where
-  ``vm_epochs`` sums the nodes' add/remove counters — catches mutations
+* a cheap *fingerprint scan* — ``(vm_epochs, any_healthy)`` per
+  building block, one pass over the member nodes, where ``vm_epochs``
+  sums the nodes' ``add_vm``/``remove_vm`` counters — catches mutations
   that do not flow through placement (host failures, maintenance,
   node-level VM bookkeeping).  The epoch sum grows on every add or
-  remove, so a swap that keeps the VM count (but may change the tenant
-  set) still marks the block.  The scan itself is skipped in O(1)
+  remove, so a remove-then-add that keeps the VM count (but may change
+  the tenant set) still marks the block.  The scan itself is skipped in O(1)
   whenever :data:`repro.infrastructure.hierarchy.NODE_MUTATION_EPOCH`
   shows no node changed since the last query.  A drifted block is
   rebuilt from the per-node resident-VM memos
@@ -71,17 +71,15 @@ class HostStateIndex:
         }
         self._order: list[str] = list(self._bbs)
         self._states: dict[str, HostState] = {}
-        #: bb_id -> (vm_count, vm_epochs, any_healthy) at last rebuild
-        self._fingerprints: dict[str, tuple[int, int, bool]] = {}
+        #: bb_id -> (vm_epochs, any_healthy) at last rebuild
+        self._fingerprints: dict[str, tuple[int, bool]] = {}
         self._dirty: set[str] = set(self._bbs)
         self._buckets: dict[int, set[str]] = {}
         self._bucket_of: dict[str, int] = {}
-        #: Scan accelerators, refreshed on rebuild: the node tuple and the
-        #: *live* per-node VM dicts (len() on them always reflects current
-        #: occupancy — nodes mutate these dicts in place, never replace
-        #: them, and members change only through ``add_node``).
+        #: Scan accelerator, refreshed on rebuild: each block's node tuple
+        #: (members change only through ``add_node``, and node VM
+        #: registries only through ``add_vm``/``remove_vm``).
         self._scan_nodes: dict[str, tuple] = {}
-        self._scan_vms: dict[str, list[dict]] = {}
         #: Last hierarchy.NODE_MUTATION_EPOCH the fingerprint scan ran at;
         #: -1 forces the first scan.
         self._seen_epoch = -1
@@ -142,25 +140,22 @@ class HostStateIndex:
         """Mark building blocks whose node-level view drifted as dirty."""
         fingerprints = self._fingerprints
         scan_nodes = self._scan_nodes
-        scan_vms = self._scan_vms
         for bb_id, bb in self._bbs.items():
             if bb_id in dirty:
                 continue
-            # O(nodes) with a tiny constant: C-level sums over the cached
-            # live VM dicts and the nodes' add/remove counters,
-            # short-circuiting any() on the raw flags (skips per-node
-            # ``healthy`` property-call overhead).  Node membership changes
-            # are caught by the length check.
+            # O(nodes) with a tiny constant: a C-level sum over the nodes'
+            # add/remove counters, short-circuiting any() on the raw flags
+            # (skips per-node ``healthy`` property-call overhead).  Node
+            # membership changes are caught by the length check.
             nodes = scan_nodes[bb_id]
             if len(nodes) != len(bb.nodes):
                 dirty.add(bb_id)
                 continue
-            vm_count = sum(map(len, scan_vms[bb_id]))
             vm_epochs = sum(map(_vm_epoch_of, nodes))
             healthy = any(
                 not (n.maintenance or n.failed or n.quarantined) for n in nodes
             )
-            if fingerprints.get(bb_id) != (vm_count, vm_epochs, healthy):
+            if fingerprints.get(bb_id) != (vm_epochs, healthy):
                 dirty.add(bb_id)
 
     def _rebuild_one(self, bb_id: str) -> None:
@@ -174,12 +169,10 @@ class HostStateIndex:
         self._states[bb_id] = state
         nodes = tuple(bb.nodes.values())
         self._fingerprints[bb_id] = (
-            state.num_instances,
             sum(map(_vm_epoch_of, nodes)),
             state.enabled,
         )
         self._scan_nodes[bb_id] = nodes
-        self._scan_vms[bb_id] = [n.vms for n in nodes]
         self._place_in_bucket(bb_id, state.free_vcpus)
 
     def _discard(self, bb_id: str) -> None:
@@ -187,7 +180,6 @@ class HostStateIndex:
         self._states.pop(bb_id, None)
         self._fingerprints.pop(bb_id, None)
         self._scan_nodes.pop(bb_id, None)
-        self._scan_vms.pop(bb_id, None)
         self._dirty.discard(bb_id)
         if bb_id in self._order:
             self._order.remove(bb_id)

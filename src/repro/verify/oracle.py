@@ -191,8 +191,9 @@ def desync_index(
     fields directly so no ``NODE_MUTATION_EPOCH`` bump, ``add_node`` or
     ``add_vm`` ever happens.  This violates the index's documented scan
     contract (the member set changes only through ``add_node``): the
-    fingerprint scan keeps reading the orphaned node objects, whose VM
-    counts and add/remove counters never move again, so the ghosts — and
+    fingerprint scan keeps reading the orphaned node objects, whose
+    add/remove counters never move again (the replay resolves nodes by id,
+    so later creates and deletes land on the copies), so the ghosts — and
     every later placement onto the block — stay invisible to the
     incremental path, while the naive rebuild path sees the true
     registries on every request.  Exactly the class of bug (mutation
