@@ -50,20 +50,14 @@ def test_cost_aware_planning_avoids_heavy_migrations(benchmark):
         downtime_budget_s=1e9,
         min_benefit_per_second=0.0,
     )
-    blind_plan = blind.plan_for_nodes(
-        _scenario(), capacity_of=lambda n: n.physical.vcpus, load_view=_load_view
-    )
+    blind_plan = blind.plan_for_nodes(_scenario(), load_view=_load_view)
 
     def run_aware():
         aware = MigrationPlanner(
             precopy=PrecopyModel(bandwidth_mbps=25_000),
             downtime_budget_s=1.0,
         )
-        return aware.plan_for_nodes(
-            _scenario(),
-            capacity_of=lambda n: n.physical.vcpus,
-            load_view=_load_view,
-        )
+        return aware.plan_for_nodes(_scenario(), load_view=_load_view)
 
     aware_plan = benchmark(run_aware)
 

@@ -57,13 +57,6 @@ Subcommands::
         structured failures; with --journal an interrupted sweep resumes
         without re-running completed cells.
 
-    repro bench [--smoke] [--check] [--profile] [--out BENCH_scale.json]
-        Time the scheduling, telemetry-ingest, and simulation hot paths on
-        seeded workloads and write the perf artifact.  The simulation
-        stage runs the columnar scrape path against the legacy per-sample
-        path at the same seed and reports the speedup plus a byte-identity
-        verdict; --profile prints the per-stage wall-time breakdown.
-
     repro verify [--scenario NAME] [--seeds N] [--check NAME ...]
                  [--update-goldens] [--inject-desync] [--json-only] [--out F]
         Run the differential verification harness: scheduler oracle
@@ -467,87 +460,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if report.violations else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.bench import BenchConfig, check_results, run_bench, write_bench_json
-
-    config = BenchConfig.smoke() if args.smoke else BenchConfig()
-    if args.skip_sim:
-        config = replace(config, run_sim=False)
-    if args.days is not None:
-        config = replace(config, sim_days=args.days)
-    payload = run_bench(config, echo=lambda msg: print(msg, file=sys.stderr))
-    try:
-        write_bench_json(payload, args.out)
-    except OSError as exc:
-        raise _config_error(f"repro: bench --out {args.out}: {exc}") from exc
-    results = payload["results"]
-    print(
-        f"schedule: {results['schedule_requests_per_s']:,.0f} req/s "
-        f"({results['schedule_speedup_vs_legacy']:.2f}x vs legacy path, "
-        f"{results['schedule_requests_speedup_vs_baseline']:.2f}x vs pre-PR baseline)"
-    )
-    print(
-        f"ingest:   {results['telemetry_ingest_samples_per_s']:,.0f} samples/s "
-        f"({results['ingest_block_speedup_vs_per_sample']:.2f}x vs per-sample path, "
-        f"{results['telemetry_ingest_samples_speedup_vs_baseline']:.2f}x vs pre-PR baseline)"
-    )
-    print(f"DRS round: {results['drs_round_latency_s'] * 1e3:.1f} ms")
-    print(
-        f"journal:  {results['journal_append_per_s_fsync']:,.0f} appends/s at "
-        f"fsync durability ({results['journal_flush_speedup_vs_fsync']:.1f}x "
-        f"faster at flush)"
-    )
-    if "sim_wall_s" in results:
-        print(
-            f"simulation: {results['sim_days']:g} days in "
-            f"{results['sim_wall_s']:.1f} s ({results['sim_events']} events, "
-            f"{results['sim_scrape_speedup_vs_legacy']:.2f}x vs legacy "
-            f"scrape path, paths identical: "
-            f"{results['sim_paths_identical']})"
-        )
-        if args.profile:
-            profile = results.get("sim_profile", {})
-            accounted = sum(profile.values())
-            print("simulation stage profile (columnar scrape path):")
-            for stage_name in (
-                "demand_eval", "exporter_format", "ingest", "scheduler", "drs"
-            ):
-                if stage_name in profile:
-                    print(f"  {stage_name:<16} {profile[stage_name]:>9.3f} s")
-            other = results["sim_wall_s"] - accounted
-            print(f"  {'(other)':<16} {other:>9.3f} s")
-            print(
-                f"  scrape throughput: "
-                f"{results['sim_scrape_samples_per_s']:,.0f} samples/s"
-            )
-    elif args.profile:
-        print("(--profile: sim stage not run, no stage profile)", file=sys.stderr)
-    if "sweep_scenarios_per_hour_nw" in results:
-        print(
-            f"sweep:    {results['sweep_cells']} cells — "
-            f"{results['sweep_scenarios_per_hour_1w']:,.0f} scenarios/h at "
-            f"1 worker, {results['sweep_scenarios_per_hour_nw']:,.0f} at "
-            f"{results['sweep_workers']} workers "
-            f"({results['sweep_speedup_nw_vs_1w']:.2f}x on "
-            f"{results['sweep_cpu_count']} CPU(s))"
-        )
-    print(f"peak RSS: {results['peak_rss_kb']:,} KB")
-    print(f"Wrote {args.out}")
-    if args.check:
-        notes: list[str] = []
-        problems = check_results(payload, notes=notes)
-        for note in notes:
-            print(f"CHECK NOTE: {note}", file=sys.stderr)
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("All bench checks passed.")
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify.runner import ALL_CHECKS, BASE_SEED, VerifyConfig, run_verify
     from repro.verify.scenarios import SCENARIOS
@@ -863,34 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(malformed files exit 2 with a one-line error)",
     )
     chaos.set_defaults(func=_cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the scheduling/telemetry/simulation hot paths"
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run: same workloads, much smaller counts",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="fail unless in-run speedup ratios meet the required bounds",
-    )
-    bench.add_argument(
-        "--skip-sim", action="store_true",
-        help="skip the multi-day end-to-end simulation stage",
-    )
-    bench.add_argument(
-        "--days", type=float, default=None,
-        help="override the simulation stage's duration in days",
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="print the simulation stage breakdown (demand_eval, "
-        "exporter_format, ingest, scheduler, drs) after the run",
-    )
-    bench.add_argument("--out", default="BENCH_scale.json",
-                       help="where to write the result JSON")
-    bench.set_defaults(func=_cmd_bench)
 
     verify = sub.add_parser(
         "verify",

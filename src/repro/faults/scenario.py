@@ -36,9 +36,6 @@ class ScenarioConfig:
     scrape_interval_s: float = 900.0
     drs_interval_s: float = 3600.0
     faults: FaultConfig = field(default_factory=FaultConfig)
-    #: Scrape implementation ("columnar" or "legacy"); forwarded to
-    #: SimulationConfig so the verify harness can run both differentially.
-    scrape_path: str = "columnar"
 
     def __post_init__(self) -> None:
         if self.building_blocks < 1 or self.nodes_per_bb < 1:
@@ -66,22 +63,23 @@ def scenario_topology(config: ScenarioConfig) -> TopologySpec:
     )
 
 
+def scenario_sim_config(config: ScenarioConfig) -> SimulationConfig:
+    """The simulation parameters of the scenario."""
+    return SimulationConfig(
+        duration_days=config.duration_days,
+        scrape_interval_s=config.scrape_interval_s,
+        drs_interval_s=config.drs_interval_s,
+        arrival_rate_per_hour=config.arrival_rate_per_hour,
+        initial_vms=config.initial_vms,
+        seed=config.seed,
+        faults=config.faults,
+    )
+
+
 def run_fault_scenario(config: ScenarioConfig | None = None) -> SimulationResult:
     """Run the scenario once; the result carries the FaultReport."""
     config = config or ScenarioConfig()
-    sim = RegionSimulation(
-        scenario_topology(config),
-        SimulationConfig(
-            duration_days=config.duration_days,
-            scrape_interval_s=config.scrape_interval_s,
-            drs_interval_s=config.drs_interval_s,
-            arrival_rate_per_hour=config.arrival_rate_per_hour,
-            initial_vms=config.initial_vms,
-            seed=config.seed,
-            faults=config.faults,
-            scrape_path=config.scrape_path,
-        ),
-    )
+    sim = RegionSimulation(scenario_topology(config), scenario_sim_config(config))
     return sim.run()
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.infrastructure.capacity import GENERAL_OVERCOMMIT, Capacity
+from repro.infrastructure.capacity import GENERAL_OVERCOMMIT
 from repro.infrastructure.hierarchy import ComputeNode, Region
 from repro.infrastructure.vm import VM
 from repro.migration.precopy import MigrationEstimate, PrecopyModel
@@ -80,25 +80,25 @@ class MigrationPlanner:
     def plan_for_nodes(
         self,
         nodes: list[ComputeNode],
-        capacity_of: Callable[[ComputeNode], float],
         load_view: LoadView = _allocated_view,
-        allocatable_of: Callable[[ComputeNode], Capacity] | None = None,
     ) -> MigrationPlan:
         """Plan moves across an arbitrary node set (intra- or inter-BB).
 
-        ``capacity_of`` returns each node's CPU capacity in cores; the
-        balancing objective is the std-dev of load fractions, the same
-        metric DRS uses.  ``allocatable_of`` bounds what a target node may
-        accept (defaults to the general-purpose overcommit policy).
+        The balancing objective is the std-dev of load fractions (load
+        over physical cores), the same metric DRS uses, and as in DRS
+        failed nodes are left out of it: their zero load is not an
+        imbalance a move could fix.  A target must be healthy and fit the
+        VM under the general-purpose overcommit policy.
         """
-        if allocatable_of is None:
-            allocatable_of = lambda n: GENERAL_OVERCOMMIT.allocatable(n.physical)
         plan = MigrationPlan()
+        nodes = [node for node in nodes if not node.failed]
+        if len(nodes) < 2:
+            return plan
         loads = {
             node.node_id: sum(load_view(vm)[0] for vm in node.vms.values())
             for node in nodes
         }
-        capacities = {node.node_id: capacity_of(node) for node in nodes}
+        capacities = {node.node_id: node.physical.vcpus for node in nodes}
         by_id = {node.node_id: node for node in nodes}
 
         def imbalance() -> float:
@@ -125,8 +125,8 @@ class MigrationPlanner:
                     continue  # §3.2: leave heavy VMs alone
                 for target_id in reversed(ordered[1:]):
                     target = by_id[target_id]
-                    if not vm.requested().fits_within(
-                        allocatable_of(target) - target.allocated()
+                    if not target.healthy or not target.fits(
+                        vm.requested(), GENERAL_OVERCOMMIT
                     ):
                         continue
                     after = self._imbalance_after(
@@ -170,11 +170,7 @@ class MigrationPlanner:
             if bb.datacenter != datacenter or bb.aggregate_class:
                 continue
             nodes.extend(bb.iter_nodes())
-        if len(nodes) < 2:
-            return MigrationPlan()
-        return self.plan_for_nodes(
-            nodes, capacity_of=lambda n: n.physical.vcpus, load_view=load_view
-        )
+        return self.plan_for_nodes(nodes, load_view=load_view)
 
     @staticmethod
     def _imbalance_after(loads, capacities, source, target, cpu_load) -> float:

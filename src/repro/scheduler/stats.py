@@ -2,9 +2,8 @@
 
 Scheduler implementations and :class:`~repro.scheduler.placement.PlacementService`
 each keep simple operation counters.  This module pins the canonical
-vocabulary and provides one ``stats_of`` accessor the bench harness (and
-any other consumer) can point at either object without caring which it
-got.
+vocabulary and provides one ``stats_of`` accessor a consumer can point
+at either object without caring which it got.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ def stats_of(obj: Any) -> dict[str, int]:
     """Canonical counter snapshot of a scheduler or placement service.
 
     Accepts anything exposing either a ``stats()`` method or a ``stats``
-    mapping attribute and returns a normalized copy — the one API the
-    bench harness uses for every counter source.
+    mapping attribute and returns a normalized copy.
     """
     raw = obj.stats
     if callable(raw):

@@ -15,7 +15,6 @@ telemetry of the figure benchmarks comes from the faster vectorised
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -109,15 +108,6 @@ class SimulationConfig:
     #: Control-plane resilience knobs (host health / quarantine, admission
     #: control, reconciliation, invariants); None disables the layer.
     resilience: ResilienceConfig | None = None
-    #: Scrape implementation: "columnar" evaluates demand through the
-    #: compiled scalar fast path and appends through interned series
-    #: handles (byte-identical telemetry, placements, and fault reports);
-    #: "legacy" builds per-sample Sample objects through store.ingest.
-    scrape_path: str = "columnar"
-    #: Accumulate cumulative per-stage wall time (demand_eval,
-    #: exporter_format, ingest, scheduler, drs) into
-    #: SimulationResult.stage_profile.
-    profile_stages: bool = False
 
 
 @dataclass
@@ -139,12 +129,6 @@ class SimulationResult:
     maintenance_windows: int = 0
     fault_report: FaultReport | None = None
     resilience_report: ResilienceReport | None = None
-    #: Cumulative per-stage wall seconds (only with profile_stages=True).
-    stage_profile: dict[str, float] | None = None
-
-
-#: Stage keys reported by the profiler, in display order.
-PROFILE_STAGES = ("demand_eval", "exporter_format", "ingest", "scheduler", "drs")
 
 
 class RegionSimulation:
@@ -159,17 +143,6 @@ class RegionSimulation:
         journal: Callable[[dict], None] | None = None,
     ) -> None:
         self.config = config or SimulationConfig()
-        if self.config.scrape_path not in ("columnar", "legacy"):
-            raise ValueError(
-                f"unknown scrape_path {self.config.scrape_path!r}; "
-                "expected 'columnar' or 'legacy'"
-            )
-        self._columnar = self.config.scrape_path == "columnar"
-        self._stages: dict[str, float] | None = (
-            {stage: 0.0 for stage in PROFILE_STAGES}
-            if self.config.profile_stages
-            else None
-        )
         self.rng = np.random.default_rng(self.config.seed)
         self.region = build_region(spec)
         self.placement = PlacementService()
@@ -238,14 +211,11 @@ class RegionSimulation:
         self.demand_model = DemandModel(self.rng)
         self.engine = SimulationEngine(start_time=self.config.start_time)
         self.engine.journal_sink = journal
-        self.engine.on(VM_CREATE, self._timed("scheduler", self._handle_create))
+        self.engine.on(VM_CREATE, self._handle_create)
         self.engine.on(VM_DELETE, self._handle_delete)
-        self.engine.on(VM_RESIZE, self._timed("scheduler", self._handle_resize))
-        self.engine.on(
-            SCRAPE,
-            self._handle_scrape_columnar if self._columnar else self._handle_scrape,
-        )
-        self.engine.on(DRS_RUN, self._timed("drs", self._handle_drs))
+        self.engine.on(VM_RESIZE, self._handle_resize)
+        self.engine.on(SCRAPE, self._handle_scrape)
+        self.engine.on(DRS_RUN, self._handle_drs)
         self.engine.on(MAINT_START, self._handle_maintenance_start)
         self.engine.on(MAINT_END, self._handle_maintenance_end)
 
@@ -269,9 +239,7 @@ class RegionSimulation:
             self.engine.on(QUARANTINE_END, self._handle_quarantine_end)
             # An admission retry is a deferred VM_CREATE with its identity
             # and deadline already fixed; the same handler serves both.
-            self.engine.on(
-                ADMISSION_RETRY, self._timed("scheduler", self._handle_create)
-            )
+            self.engine.on(ADMISSION_RETRY, self._handle_create)
             self.engine.on(RECONCILE, self._handle_reconcile)
             self.engine.on(INVARIANT_CHECK, self._handle_invariant_check)
 
@@ -312,7 +280,7 @@ class RegionSimulation:
         #: created.
         self._live = LiveVMIndex()
         self.demands: dict[str, VMDemand] = {}
-        #: Per-VM compiled waveform evaluators (columnar scrape path).
+        #: Per-VM compiled waveform evaluators (scrape and DRS load).
         #: Entries are validated by demand-object identity on every use and
         #: recompiled on mismatch, so create/resize (which swap the
         #: VMDemand) can never be served a stale waveform table; delete
@@ -425,27 +393,9 @@ class RegionSimulation:
             maintenance_windows=self.maintenance_windows,
             fault_report=self.fault_report,
             resilience_report=self.resilience_report,
-            stage_profile=dict(self._stages) if self._stages is not None else None,
         )
 
     # -- event handlers ----------------------------------------------------------
-
-    def _timed(self, stage: str, handler: Callable) -> Callable:
-        """Wrap a handler to accumulate wall time under ``stage``.
-
-        Returns the handler untouched when profiling is off, so the hot
-        loop pays nothing by default.
-        """
-        stages = self._stages
-        if stages is None:
-            return handler
-
-        def wrapper(engine: SimulationEngine, event) -> None:
-            t0 = perf_counter()
-            handler(engine, event)
-            stages[stage] += perf_counter() - t0
-
-        return wrapper
 
     def _schedule_poisson(
         self, start: float, end: float, rate_s: float, kind: str
@@ -725,90 +675,20 @@ class RegionSimulation:
         self._node_index[event.payload["node_id"]].maintenance = False
 
     def _handle_scrape(self, engine: SimulationEngine, event) -> None:
-        """Legacy per-sample scrape: Sample objects through store.ingest."""
-        if self.telemetry_faults is not None and self.telemetry_faults.scrape_missed():
-            return  # whole cycle lost: an honest hole in every series
-        now = np.asarray([engine.now])
-        stages = self._stages
-        samples = []
-        for node in self._node_index.values():
-            if node.failed:
-                continue  # dead host, dead exporter: no samples at all
-            if self.partition is not None and self.partition.is_blackholed(
-                node.node_id
-            ):
-                continue  # exporter unreachable: the domain's series freeze
-            if self.telemetry_faults is not None and self.telemetry_faults.node_is_stale(
-                node.node_id
-            ):
-                # The exporter answered but its data is stale: keep the
-                # scrape timestamps, mark every value unknown.
-                samples.extend(
-                    self.vrops.scrape_node(node, self._stale_usage, engine.now)
-                )
-                continue
-            cpu_demand = 0.0
-            mem_mb = 0.0
-            tx = rx = 0.0
-            disk = 0.0
-            if stages is not None:
-                t0 = perf_counter()
-            for vm in node.vms.values():
-                demand = self.demands.get(vm.vm_id)
-                if demand is None:
-                    continue
-                snap = demand.evaluate(now)
-                cpu_demand += float(snap.cpu_cores[0])
-                mem_mb += float(snap.memory_mb[0])
-                tx += float(snap.network_tx_kbps[0])
-                rx += float(snap.network_rx_kbps[0])
-                disk += float(snap.disk_gb[0])
-            if stages is not None:
-                t1 = perf_counter()
-                stages["demand_eval"] += t1 - t0
-            usage_window = self._cpu_models[node.node_id].resolve_window(
-                cpu_demand, self.config.scrape_interval_s
-            )
-            usage = NodeUsage(
-                cpu_used_fraction=min(1.0, usage_window.cpu_used_fraction + 0.02),
-                memory_used_fraction=min(
-                    1.0, mem_mb / node.physical.memory_mb + 0.04
-                ),
-                network_tx_kbps=tx,
-                network_rx_kbps=rx,
-                disk_used_gb=min(disk, node.physical.disk_gb),
-                cpu_ready_ms=usage_window.cpu_ready_ms,
-                cpu_contention_fraction=usage_window.cpu_contention_fraction,
-            )
-            samples.extend(self.vrops.scrape_node(node, usage, engine.now))
-            if stages is not None:
-                stages["exporter_format"] += perf_counter() - t1
-        if stages is not None:
-            t2 = perf_counter()
-        samples.extend(self.nova_exporter.scrape_region(self.region, engine.now))
-        if stages is not None:
-            t3 = perf_counter()
-            stages["exporter_format"] += t3 - t2
-        self.store.ingest(samples)
-        if stages is not None:
-            stages["ingest"] += perf_counter() - t3
+        """One scrape tick: every live node's vROps samples plus Nova's.
 
-    def _handle_scrape_columnar(self, engine: SimulationEngine, event) -> None:
-        """Columnar scrape fast path.
-
-        Byte-identical to :meth:`_handle_scrape` + ``store.ingest`` —
-        same fault-draw order, same skip logic, same arithmetic (the
-        compiled demand evaluators and branch-min expressions reproduce
-        the legacy float operations bit for bit) — but with zero
-        per-sample objects: demand is evaluated as scalars and values go
-        straight into the store's column buffers through interned series
-        handles.  In the stage profile the ingest row stays ~0 by
-        construction: appends are fused into the exporter emit.
+        Demand is evaluated as scalars by the compiled waveforms and the
+        values go straight into the store's column buffers through
+        interned series handles, with zero per-sample objects.  The
+        compiled evaluators reproduce ``VMDemand.evaluate``'s float
+        operations and RNG consumption bit for bit, so this is
+        byte-identical to the per-sample reference scrape in
+        :mod:`repro.verify.reference` (same fault-draw order, same skip
+        logic, same arithmetic).
         """
         if self.telemetry_faults is not None and self.telemetry_faults.scrape_missed():
             return  # whole cycle lost: an honest hole in every series
         now = engine.now
-        stages = self._stages
         store = self.store
         vrops = self.vrops
         demands = self.demands
@@ -832,8 +712,6 @@ class RegionSimulation:
             mem_mb = 0.0
             tx = rx = 0.0
             disk = 0.0
-            if stages is not None:
-                t0 = perf_counter()
             for vm in node.vms.values():
                 demand = demands.get(vm.vm_id)
                 if demand is None:
@@ -847,9 +725,6 @@ class RegionSimulation:
                 tx += tx_c
                 rx += rx_c
                 disk += disk_c
-            if stages is not None:
-                t1 = perf_counter()
-                stages["demand_eval"] += t1 - t0
             usage_window = self._cpu_models[node.node_id].resolve_window(
                 cpu_demand, interval
             )
@@ -865,37 +740,21 @@ class RegionSimulation:
                 cpu_contention_fraction=usage_window.cpu_contention_fraction,
             )
             vrops.emit_node(store, node, usage, now)
-            if stages is not None:
-                stages["exporter_format"] += perf_counter() - t1
-        if stages is not None:
-            t2 = perf_counter()
         self.nova_exporter.emit_region(store, self.region, now)
-        if stages is not None:
-            stages["exporter_format"] += perf_counter() - t2
 
     def _handle_drs(self, engine: SimulationEngine, event) -> None:
-        if self._columnar:
-            now_f = engine.now
-            demands = self.demands
-            compiled = self._compiled
+        now = engine.now
+        demands = self.demands
+        compiled = self._compiled
 
-            def load_fn(vm: VM) -> float:
-                demand = demands.get(vm.vm_id)
-                if demand is None:
-                    return float(vm.flavor.vcpus)
-                cd = compiled.get(vm.vm_id)
-                if cd is None or cd.demand is not demand:
-                    cd = compiled[vm.vm_id] = compile_demand(demand)
-                return cd.evaluate(now_f)[0]
-
-        else:
-            now = np.asarray([engine.now])
-
-            def load_fn(vm: VM) -> float:
-                demand = self.demands.get(vm.vm_id)
-                if demand is None:
-                    return float(vm.flavor.vcpus)
-                return float(demand.evaluate(now).cpu_cores[0])
+        def load_fn(vm: VM) -> float:
+            demand = demands.get(vm.vm_id)
+            if demand is None:
+                return float(vm.flavor.vcpus)
+            cd = compiled.get(vm.vm_id)
+            if cd is None or cd.demand is not demand:
+                cd = compiled[vm.vm_id] = compile_demand(demand)
+            return cd.evaluate(now)[0]
 
         for bb in self._bb_index.values():
             if bb.policy == "pack":

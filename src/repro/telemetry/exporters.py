@@ -15,12 +15,9 @@ exact metric names and label conventions of the public dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.infrastructure.hierarchy import ComputeNode, Region
-from repro.telemetry.store import MetricStore, Sample, SampleBlock, SeriesHandle
+from repro.telemetry.store import MetricStore, Sample, SeriesHandle
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,51 +143,6 @@ class VropsExporter:
                 "vrops_hostsystem_diskspace_usage_gigabytes",
                 labels, timestamp, usage.disk_used_gb,
             ),
-        ]
-
-    def scrape_node_window(
-        self,
-        node: ComputeNode,
-        usages: Sequence[NodeUsage],
-        timestamps: Sequence[float],
-    ) -> list[SampleBlock]:
-        """Columnar host-level scrape: one block per metric over a window.
-
-        Equivalent to ``scrape_node`` once per instant — same metrics,
-        labels and values (stale instants stay NaN) — but emits
-        :class:`~repro.telemetry.store.SampleBlock` columns for the
-        store's bulk :meth:`~repro.telemetry.store.MetricStore.ingest_blocks`.
-        """
-        if len(usages) != len(timestamps):
-            raise ValueError("usages and timestamps must be equally sized")
-        labels = tuple(sorted(_node_labels(node).items()))
-        ts = np.asarray(timestamps, dtype=float)
-        columns = {
-            "vrops_hostsystem_cpu_core_utilization_percentage": [
-                100.0 * u.cpu_used_fraction for u in usages
-            ],
-            "vrops_hostsystem_cpu_contention_percentage": [
-                100.0 * u.cpu_contention_fraction for u in usages
-            ],
-            "vrops_hostsystem_cpu_ready_milliseconds": [
-                u.cpu_ready_ms for u in usages
-            ],
-            "vrops_hostsystem_memory_usage_percentage": [
-                100.0 * u.memory_used_fraction for u in usages
-            ],
-            "vrops_hostsystem_network_bytes_tx_kbps": [
-                u.network_tx_kbps for u in usages
-            ],
-            "vrops_hostsystem_network_bytes_rx_kbps": [
-                u.network_rx_kbps for u in usages
-            ],
-            "vrops_hostsystem_diskspace_usage_gigabytes": [
-                u.disk_used_gb for u in usages
-            ],
-        }
-        return [
-            SampleBlock(metric, labels, ts, np.asarray(values, dtype=float))
-            for metric, values in columns.items()
         ]
 
     def scrape_vm(

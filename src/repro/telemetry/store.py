@@ -54,7 +54,7 @@ class Sample(NamedTuple):
 
 
 class SampleBlock(NamedTuple):
-    """A contiguous window of one series: columnar exporter output.
+    """A contiguous window of one series, for :meth:`MetricStore.ingest_blocks`.
 
     ``timestamps`` / ``values`` are equally sized 1-D float arrays; stale
     scrapes are NaN entries in ``values``.
@@ -182,8 +182,9 @@ class MetricStore:
 
         Two stores fingerprint equal iff they hold the same series in the
         same insertion order with bit-identical timestamp/value buffers —
-        the equivalence the columnar scrape path promises against the
-        legacy per-sample path.
+        the equivalence the ``repro verify`` ``scrape_path`` check demands
+        between the simulator's series-handle scrape and the per-sample
+        reference.
         """
         h = hashlib.sha256()
         for (metric, labels), buf in self._series.items():
@@ -269,11 +270,11 @@ class MetricStore:
         return n
 
     def ingest_blocks(self, blocks: Iterable[SampleBlock]) -> int:
-        """Ingest columnar exporter output; returns the sample count.
+        """Ingest columnar sample blocks; returns the sample count.
 
-        Hot path for bulk backfill: exporter windows arrive as float64
-        arrays, so conversion and validation are skipped when the columns
-        already have the right shape.
+        Hot path for bulk backfill: windows arrive as float64 arrays, so
+        conversion and validation are skipped when the columns already
+        have the right shape.
         """
         n = 0
         series = self._series

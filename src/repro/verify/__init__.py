@@ -1,6 +1,6 @@
 """Differential verification harness (see DESIGN.md "Verification model").
 
-Four layers, unified behind ``repro verify``:
+Five layers, unified behind ``repro verify``:
 
 * :mod:`repro.verify.oracle` — differential scheduler oracle (naive vs
   indexed vs scalar-weigher replays of one pre-drawn workload);
@@ -8,6 +8,8 @@ Four layers, unified behind ``repro verify``:
   telemetry store and the scheduler;
 * :mod:`repro.verify.goldens` — golden-trace regression store under
   ``tests/goldens/`` with an ``--update-goldens`` flow;
+* :mod:`repro.verify.reference` — the per-sample reference simulation
+  the ``scrape_path`` check compares the simulator against;
 * :mod:`repro.verify.runner` — the check registry and JSON report the
   CLI and CI consume.
 """

@@ -22,7 +22,8 @@ Checks:
     former ``scripts/check_fault_determinism.sh`` and
     ``scripts/check_chaos_determinism.sh``.
 ``scrape_path``
-    Columnar vs legacy scrape path on a seeded two-day fault scenario:
+    The simulator's columnar scrape vs the per-sample reference in
+    :mod:`repro.verify.reference` on a seeded two-day fault scenario:
     placements, counters, scheduler stats, the fault report, and the
     telemetry store's content fingerprint must be byte-identical.
 ``sweep``
@@ -267,24 +268,26 @@ def _check_determinism_chaos(scenario: VerifyScenario, seed: int) -> CheckOutcom
 
 
 def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
-    """Columnar and legacy scrape paths must be observationally identical.
+    """The simulator must be observationally identical to the reference.
 
     The seeded fault scenario (stretched to two days so fault windows,
-    DRS rounds, and stale scrapes all occur) is run once per path and
-    rendered to one canonical document covering everything downstream
-    consumers can observe: final placements, lifecycle counters,
-    scheduler stats, the fault report, and the telemetry store's
-    content fingerprint (every timestamp and value byte of every
+    DRS rounds, and stale scrapes all occur) is run once by the
+    simulator (columnar scrape, compiled DRS load) and once by the
+    per-sample :class:`~repro.verify.reference.ReferenceSimulation`, and
+    each run is rendered to one canonical document covering everything
+    downstream consumers can observe: final placements, lifecycle
+    counters, scheduler stats, the fault report, and the telemetry
+    store's content fingerprint (every timestamp and value byte of every
     series, in insertion order).
     """
     from dataclasses import replace
 
     from repro.faults.scenario import run_fault_scenario
+    from repro.verify.reference import run_reference_scenario
 
-    base = replace(scenario.fault_scenario(seed), duration_days=2.0)
+    config = replace(scenario.fault_scenario(seed), duration_days=2.0)
 
-    def render(scrape_path: str) -> str:
-        result = run_fault_scenario(replace(base, scrape_path=scrape_path))
+    def render(result) -> str:
         doc = {
             "placements": {
                 vm_id: vm.node_id for vm_id, vm in sorted(result.vms.items())
@@ -302,16 +305,16 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    columnar = render("columnar")
-    legacy = render("legacy")
-    ok = columnar == legacy
+    columnar = render(run_fault_scenario(config))
+    reference = render(run_reference_scenario(config))
+    ok = columnar == reference
     diff = ""
     if not ok:
         diff = "".join(
             difflib.unified_diff(
-                legacy.splitlines(keepends=True),
+                reference.splitlines(keepends=True),
                 columnar.splitlines(keepends=True),
-                fromfile="legacy",
+                fromfile="reference",
                 tofile="columnar",
                 n=2,
             )
@@ -322,10 +325,10 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
         seed=seed,
         ok=ok,
         summary=(
-            "columnar == legacy: placements, counters, fault report, "
-            "store fingerprint byte-identical over 2 days"
+            "columnar == per-sample reference: placements, counters, fault "
+            "report, store fingerprint byte-identical over 2 days"
             if ok
-            else "columnar scrape path DIVERGES from legacy"
+            else "columnar scrape path DIVERGES from the per-sample reference"
         ),
         diff=diff,
     )

@@ -4,15 +4,15 @@ The simulation's scrape loop evaluates every VM's demand at a single
 timestamp, once per 900 s tick.  The vectorised pattern closures in
 :mod:`repro.workloads.patterns` are built for timestamp *grids*; calling
 them with one-element arrays allocates half a dozen temporaries plus a
-:class:`~repro.workloads.demand.DemandSnapshot` per VM per tick, which is
-what made the 30-day run the slowest bench stage.
+:class:`~repro.workloads.demand.DemandSnapshot` per VM per tick, which
+dominated the cost of a long simulation.
 
 :func:`compile_demand` turns one :class:`~repro.workloads.demand.VMDemand`
 into a :class:`CompiledDemand` whose ``evaluate(t)`` returns plain floats
 and is bit-identical to ``demand.evaluate(np.asarray([t]))`` — including
-RNG stream consumption, so compiled and legacy runs stay replayable
-against each other.  The compiler reads the ``basis`` metadata the pattern
-factories attach:
+RNG stream consumption, so a simulation run stays byte-identical to the
+per-sample reference in :mod:`repro.verify.reference`.  The compiler
+reads the ``basis`` metadata the pattern factories attach:
 
 - phase-free shapes (``constant``; ``ramp``, which always reports its
   start level at single-timestamp evaluation because progress is measured

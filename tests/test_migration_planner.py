@@ -21,7 +21,7 @@ def _loaded_nodes(vm_specs):
 def test_plans_moves_toward_balance():
     nodes = _loaded_nodes([(f"v{i}", 16, 32) for i in range(4)])
     planner = MigrationPlanner()
-    plan = planner.plan_for_nodes(nodes, capacity_of=lambda n: n.physical.vcpus)
+    plan = planner.plan_for_nodes(nodes)
     assert len(plan) >= 1
     for move in plan.moves:
         assert move.source_node == nodes[0].node_id
@@ -34,9 +34,7 @@ def test_balanced_cluster_plans_nothing():
     for i, node in enumerate(bb.iter_nodes()):
         node.add_vm(VM(vm_id=f"v{i}", flavor=Flavor(f"f{i}", 8, 16)))
     planner = MigrationPlanner()
-    plan = planner.plan_for_nodes(
-        list(bb.iter_nodes()), capacity_of=lambda n: n.physical.vcpus
-    )
+    plan = planner.plan_for_nodes(list(bb.iter_nodes()))
     assert len(plan) == 0
 
 
@@ -52,25 +50,21 @@ def test_heavy_vms_excluded_by_downtime_budget():
         precopy=PrecopyModel(bandwidth_mbps=2_000),
         downtime_budget_s=0.05,
     )
-    plan = planner.plan_for_nodes(
-        nodes, capacity_of=lambda n: n.physical.vcpus, load_view=load_view
-    )
+    plan = planner.plan_for_nodes(nodes, load_view=load_view)
     assert all(m.vm_id != "hot" for m in plan.moves)
 
 
 def test_each_vm_moved_at_most_once():
     nodes = _loaded_nodes([(f"v{i}", 8, 16) for i in range(8)])
     planner = MigrationPlanner(max_moves=20)
-    plan = planner.plan_for_nodes(nodes, capacity_of=lambda n: n.physical.vcpus)
+    plan = planner.plan_for_nodes(nodes)
     moved = [m.vm_id for m in plan.moves]
     assert len(moved) == len(set(moved))
 
 
 def test_plan_aggregates():
     nodes = _loaded_nodes([(f"v{i}", 16, 64) for i in range(4)])
-    plan = MigrationPlanner().plan_for_nodes(
-        nodes, capacity_of=lambda n: n.physical.vcpus
-    )
+    plan = MigrationPlanner().plan_for_nodes(nodes)
     assert plan.total_transfer_mb > 0
     assert plan.total_downtime_s >= 0
 

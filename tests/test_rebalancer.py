@@ -5,6 +5,7 @@ import pytest
 from repro.infrastructure.flavors import Flavor
 from repro.infrastructure.topology import build_region
 from repro.infrastructure.vm import VM
+from repro.migration.planner import MigrationPlanner
 from repro.rebalancer import RebalanceDriver
 from repro.scheduler.placement import MEMORY_MB, VCPU, PlacementService
 from tests.conftest import build_tiny_region_spec
@@ -93,4 +94,32 @@ def test_works_without_placement_service():
         node.add_vm(VM(vm_id=f"v{i}", flavor=Flavor(f"f{i}", vcpus=16, ram_gib=32)))
     driver = RebalanceDriver(region, placement=None)
     report = driver.run_pass("dc1")
+    assert report.imbalance_after < report.imbalance_before
+
+
+UNHEALTHY_NODE = "dc1-gp-00-node-003"
+
+
+@pytest.mark.parametrize("flag", ["failed", "maintenance", "quarantined"])
+def test_cross_bb_plan_never_targets_an_unhealthy_node(flag):
+    """Like DRS: a failed node's zero load is no imbalance, and only
+    healthy nodes take moves."""
+    region, _ = _imbalanced_region()
+    setattr(region.find_node(UNHEALTHY_NODE), flag, True)
+    plan = MigrationPlanner().plan_cross_bb(region, "dc1")
+    assert len(plan) > 0
+    assert all(move.target_node != UNHEALTHY_NODE for move in plan.moves)
+
+
+def test_cross_bb_plan_leaves_a_failed_nodes_vms_to_evacuation():
+    region, _ = _imbalanced_region()
+    region.find_node("dc1-gp-00-node-000").failed = True  # holds all load
+    assert len(MigrationPlanner().plan_cross_bb(region, "dc1")) == 0
+
+
+def test_pass_with_failed_node_skips_no_planned_move():
+    region, placement = _imbalanced_region()
+    region.find_node(UNHEALTHY_NODE).failed = True
+    report = RebalanceDriver(region, placement).run_pass("dc1")
+    assert report.skipped_moves == 0
     assert report.imbalance_after < report.imbalance_before

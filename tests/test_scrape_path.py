@@ -1,15 +1,16 @@
-"""Byte-identity of the columnar scrape fast-path.
+"""Byte-identity of the columnar scrape against the per-sample reference.
 
-The columnar path (series handles + compiled waveforms, zero Sample
-objects) must be observationally indistinguishable from the legacy
-per-sample path: same placements, same counters, same telemetry bytes.
-`repro verify --check scrape_path` holds this on the canned scenarios;
-these tests hold the building blocks (SeriesHandle, content_fingerprint,
-emit_node/emit_region vs scrape_node/scrape_region) and an end-to-end
-faulted run small enough for the unit suite.
+The simulator's scrape (series handles + compiled waveforms, zero Sample
+objects) must be observationally indistinguishable from the per-sample
+reference in :mod:`repro.verify.reference`: same placements, same
+counters, same telemetry bytes.  `repro verify --check scrape_path` holds
+this on the canned scenarios; these tests hold the building blocks
+(SeriesHandle, content_fingerprint, emit_node/emit_region vs
+scrape_node/scrape_region), an end-to-end faulted run small enough for
+the unit suite, and the reference's independence from the fast path.
 """
 
-from dataclasses import replace
+import math
 
 import pytest
 
@@ -17,9 +18,12 @@ from repro.faults.config import FaultConfig
 from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 from repro.infrastructure.flavors import Flavor
 from repro.infrastructure.vm import VM
-from repro.simulation.runner import SimulationConfig
+from repro.simulation import runner
 from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
 from repro.telemetry.store import MetricStore
+from repro.verify.reference import run_reference_scenario
+from repro.verify.runner import VerifyConfig, run_verify
+from repro.workloads import waveform
 from tests.conftest import make_node
 
 
@@ -140,29 +144,26 @@ class TestEmitParity:
 
 
 class TestEndToEndScrapePath:
-    def _run(self, scrape_path: str):
-        config = ScenarioConfig(
-            building_blocks=2,
-            nodes_per_bb=3,
-            duration_days=0.25,
-            initial_vms=24,
-            arrival_rate_per_hour=8.0,
-            scrape_interval_s=900.0,
-            faults=FaultConfig(
-                seed=11,
-                host_failure_rate_per_day=12.0,
-                repair_time_mean_s=1800.0,
-                migration_abort_fraction=0.2,
-                scrape_gap_probability=0.05,
-                stale_node_probability=0.05,
-            ),
-            scrape_path=scrape_path,
-        )
-        return run_fault_scenario(config)
+    CONFIG = ScenarioConfig(
+        building_blocks=2,
+        nodes_per_bb=3,
+        duration_days=0.25,
+        initial_vms=24,
+        arrival_rate_per_hour=8.0,
+        scrape_interval_s=900.0,
+        faults=FaultConfig(
+            seed=11,
+            host_failure_rate_per_day=12.0,
+            repair_time_mean_s=1800.0,
+            migration_abort_fraction=0.2,
+            scrape_gap_probability=0.05,
+            stale_node_probability=0.05,
+        ),
+    )
 
     def test_columnar_byte_identical_to_legacy_under_faults(self):
-        fast = self._run("columnar")
-        slow = self._run("legacy")
+        fast = run_fault_scenario(self.CONFIG)
+        slow = run_reference_scenario(self.CONFIG)
         assert {v: vm.node_id for v, vm in fast.vms.items()} == {
             v: vm.node_id for v, vm in slow.vms.items()
         }
@@ -181,54 +182,51 @@ class TestEndToEndScrapePath:
         )
         assert fast.fault_report.to_json() == slow.fault_report.to_json()
 
-    def test_unknown_scrape_path_rejected(self):
-        with pytest.raises(ValueError, match="scrape_path"):
-            run_fault_scenario(
-                ScenarioConfig(duration_days=0.01, scrape_path="turbo")
-            )
 
-    def test_profile_stages_accounts_scrape_time(self):
-        config = ScenarioConfig(
-            building_blocks=1,
-            nodes_per_bb=2,
-            duration_days=0.1,
-            initial_vms=8,
-            arrival_rate_per_hour=4.0,
-        )
-        from repro.faults.scenario import scenario_topology
-        from repro.simulation.runner import RegionSimulation
+class _CpuUlpHigh:
+    """A compiled demand whose CPU reads one ulp above the true value."""
 
-        sim = RegionSimulation(
-            scenario_topology(config),
-            SimulationConfig(
-                duration_days=config.duration_days,
-                initial_vms=config.initial_vms,
-                arrival_rate_per_hour=config.arrival_rate_per_hour,
-                scrape_interval_s=config.scrape_interval_s,
-                profile_stages=True,
-            ),
-        )
-        result = sim.run()
-        profile = result.stage_profile
-        assert profile is not None
-        assert set(profile) == {
-            "demand_eval",
-            "exporter_format",
-            "ingest",
-            "scheduler",
-            "drs",
-        }
-        assert all(v >= 0.0 for v in profile.values())
-        assert profile["demand_eval"] > 0.0
+    def __init__(self, demand):
+        self.demand = demand
+        self._inner = waveform.compile_demand(demand)
 
-    def test_profile_off_by_default(self):
-        result = run_fault_scenario(
-            replace(
-                ScenarioConfig(),
-                building_blocks=1,
-                nodes_per_bb=2,
-                duration_days=0.05,
-                initial_vms=4,
-            )
-        )
-        assert result.stage_profile is None
+    def evaluate(self, t):
+        cpu, *rest = self._inner.evaluate(t)
+        return (math.nextafter(cpu, math.inf), *rest)
+
+
+class TestReferenceIndependence:
+    """The verify reference must not share the path it checks.
+
+    A reference that quietly called the compiled waveforms or the
+    series-handle emit would agree with any bug in them; perturbing the
+    simulator's fast path must therefore make the ``scrape_path`` check
+    fail with a diff.
+    """
+
+    @staticmethod
+    def _scrape_path_outcome():
+        report = run_verify(VerifyConfig(scenario="tiny", checks=("scrape_path",)))
+        (outcome,) = report.outcomes
+        return outcome
+
+    def test_cpu_one_ulp_off_is_caught(self, monkeypatch):
+        monkeypatch.setattr(runner, "compile_demand", _CpuUlpHigh)
+        outcome = self._scrape_path_outcome()
+        assert not outcome.ok
+        assert "store_fingerprint" in outcome.diff
+
+    def test_one_dropped_node_emit_is_caught(self, monkeypatch):
+        emit_node = VropsExporter.emit_node
+        stores = []
+
+        def lossy(self, store, node, usage, timestamp):
+            if not any(s is store for s in stores):
+                stores.append(store)
+                return 0  # the first node scrape of each run never lands
+            return emit_node(self, store, node, usage, timestamp)
+
+        monkeypatch.setattr(VropsExporter, "emit_node", lossy)
+        outcome = self._scrape_path_outcome()
+        assert not outcome.ok
+        assert '"samples"' in outcome.diff
