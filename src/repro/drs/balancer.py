@@ -143,14 +143,27 @@ class DrsBalancer:
         chosen when no lighter candidate achieves the minimum improvement.
         VMs in ``exclude`` (e.g. this pass's aborted migrations) and
         unhealthy targets (failed or draining nodes) are never considered.
+
+        Each source VM's admissible targets are scored in one array op:
+        one row of node fractions per target, with the move applied, and
+        a row-wise ``np.std`` (bitwise equal to the std of each row on
+        its own).  Candidates are compared in target order with a strict
+        ``>``, so the first of equal improvements wins.
         """
         fractions = self.node_load_fractions(bb, load_fn)
         if len(fractions) < 2:
             return None
         ordered = sorted(fractions.items(), key=lambda kv: kv[1], reverse=True)
         source = bb.nodes[ordered[0][0]]
-        # Candidate targets: every other node, least loaded first.
-        targets = [bb.nodes[node_id] for node_id, _ in reversed(ordered[1:])]
+        # Candidate targets: every other healthy node, least loaded first.
+        targets = [
+            bb.nodes[node_id]
+            for node_id, _ in reversed(ordered[1:])
+            if bb.nodes[node_id].healthy
+        ]
+        column = {node_id: i for i, node_id in enumerate(fractions)}
+        source_column = column[source.node_id]
+        base = np.array(list(fractions.values()))
 
         best: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
         best_light: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
@@ -158,16 +171,24 @@ class DrsBalancer:
             if vm.vm_id in exclude:
                 continue
             load = load_fn(vm)
-            for target in targets:
-                if target.node_id == source.node_id or not target.healthy:
-                    continue
-                if not target.fits(vm.requested(), bb.overcommit):
-                    continue
-                if not self.rules.allows_move(bb, vm.vm_id, target.node_id):
-                    continue
-                improvement = current_imbalance - self._imbalance_after(
-                    fractions, source, target, load
-                )
+            requested = vm.requested()
+            admissible = [
+                target
+                for target in targets
+                if target.fits(requested, bb.overcommit)
+                and self.rules.allows_move(bb, vm.vm_id, target.node_id)
+            ]
+            if not admissible:
+                continue
+            rows = np.repeat(base[np.newaxis, :], len(admissible), axis=0)
+            rows[:, source_column] -= load / source.physical.vcpus
+            rows[
+                np.arange(len(admissible)),
+                [column[target.node_id] for target in admissible],
+            ] += [load / target.physical.vcpus for target in admissible]
+            after = np.std(rows, axis=1).tolist()
+            for target, imbalance in zip(admissible, after):
+                improvement = current_imbalance - imbalance
                 if improvement < self.config.min_improvement:
                     continue
                 candidate = (vm.vm_id, source, target, load, improvement)
@@ -178,16 +199,3 @@ class DrsBalancer:
                 ):
                     best_light = candidate
         return best_light if best_light is not None else best
-
-    @staticmethod
-    def _imbalance_after(
-        fractions: dict[str, float],
-        source: ComputeNode,
-        target: ComputeNode,
-        load: float,
-    ) -> float:
-        """Imbalance if ``load`` cores moved from source to target."""
-        updated = dict(fractions)
-        updated[source.node_id] -= load / source.physical.vcpus
-        updated[target.node_id] += load / target.physical.vcpus
-        return float(np.std(list(updated.values())))

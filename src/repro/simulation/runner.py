@@ -283,8 +283,8 @@ class RegionSimulation:
         #: Per-VM compiled waveform evaluators (scrape and DRS load).
         #: Entries are validated by demand-object identity on every use and
         #: recompiled on mismatch, so create/resize (which swap the
-        #: VMDemand) can never be served a stale waveform table; delete
-        #: drops the entry.
+        #: VMDemand) can never be served a stale waveform; ``drop_demand``
+        #: removes the entry with the demand.
         self._compiled: dict[str, CompiledDemand] = {}
         self._stale_usage = NodeUsage(
             cpu_used_fraction=STALE,
@@ -487,9 +487,17 @@ class RegionSimulation:
         vm.transition(VMState.DELETED)
         vm.deleted_at = engine.now
         self.placement.release(vm_id)
+        self.drop_demand(vm_id)
+        self.deleted += 1
+
+    def drop_demand(self, vm_id: str) -> None:
+        """Forget a VM's demand model and its compiled evaluator.
+
+        Called when the VM leaves the simulation for good: on delete, and
+        when an evacuation dead-letters it.
+        """
         self.demands.pop(vm_id, None)
         self._compiled.pop(vm_id, None)
-        self.deleted += 1
 
     def _handle_resize(self, engine: SimulationEngine, event) -> None:
         """Resize a random live VM to the next-larger same-family flavor.

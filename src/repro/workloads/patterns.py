@@ -10,8 +10,8 @@ increasing CPU demand, §5.1), and spike trains.
 Every factory attaches a structured ``basis`` attribute to the closure it
 returns — a tuple naming the pattern kind and its parameters.  The
 simulation's scalar fast path (:mod:`repro.workloads.waveform`) compiles
-these descriptions into per-VM evaluators and waveform tables instead of
-calling the vectorised closures once per VM per tick; closures without a
+these descriptions into per-VM scalar evaluators instead of calling the
+vectorised closures once per VM per read; closures without a
 ``basis`` (hand-written lambdas in tests) simply fall back to the closure
 call.  The metadata is descriptive only: evaluation behaviour and RNG
 consumption of the closures themselves are unchanged.

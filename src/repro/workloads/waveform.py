@@ -1,11 +1,11 @@
 """Scalar fast-path evaluation of per-VM demand waveforms.
 
-The simulation's scrape loop evaluates every VM's demand at a single
-timestamp, once per 900 s tick.  The vectorised pattern closures in
+The simulation reads every VM's demand at a single timestamp: once per
+900 s scrape tick, and again for every DRS ``load_fn`` call at the pass's
+``now``.  The vectorised pattern closures in
 :mod:`repro.workloads.patterns` are built for timestamp *grids*; calling
 them with one-element arrays allocates half a dozen temporaries plus a
-:class:`~repro.workloads.demand.DemandSnapshot` per VM per tick, which
-dominated the cost of a long simulation.
+:class:`~repro.workloads.demand.DemandSnapshot` per VM per read.
 
 :func:`compile_demand` turns one :class:`~repro.workloads.demand.VMDemand`
 into a :class:`CompiledDemand` whose ``evaluate(t)`` returns plain floats
@@ -17,28 +17,32 @@ reads the ``basis`` metadata the pattern factories attach:
 - phase-free shapes (``constant``; ``ramp``, which always reports its
   start level at single-timestamp evaluation because progress is measured
   from ``ts[0]``) collapse to a precomputed constant;
-- shapes built from exact IEEE ops (``weekly``, ``spike``: fmod, floor,
-  comparisons, multiply/add) are re-derived as scalar expressions —
-  Python floats and float64 share the same operations bit for bit;
-- ``diurnal`` depends on ``np.exp``, which does **not** round identically
-  to ``math.exp`` on every host, so it is served from a per-pattern
-  waveform table keyed by day phase (``t % 86400``, exact for positive
-  operands); misses call the original numpy closure and memoise the
-  result.  The closure reads nothing but the day phase, so equal phases
-  give equal bits for *any* timestamp;
+- ``weekly`` and ``spike`` (fmod, floor, comparisons) and ``diurnal``
+  are re-derived as scalar expressions on Python floats, which share
+  float64's operations bit for bit.  The diurnal's ``** 2`` becomes
+  ``z * z`` (what numpy's square fast path computes), ``np.minimum`` a
+  branch, and its ``exp`` stays ``np.exp`` on a Python float: the
+  scalar ufunc rounds like the one-element array call, whereas
+  ``math.exp`` differs from it in the last ulp on some inputs;
 - ``bursty`` draws one uniform per evaluation (``ceil(1/correlation)`` is
   1), replicated as a scalar draw — scalar and size-1 Generator draws
   advance the stream identically;
-- ``noise`` adds a scalar Gaussian and clips with branches, which matches
-  ``np.clip`` bitwise (including the ``-0.0`` corner: np.clip keeps it);
 - anything without usable metadata (hand-written closures in tests) falls
   back to calling the closure with a one-element array, which is always
   correct, just not fast.
 
+:class:`CompiledDemand` handles each channel's top-level ``noise`` itself:
+it keeps the inner pattern's scalar function, the noise sigma and the
+bound ``rng.normal``, so a read is the base call, one scalar Gaussian and
+two clip branches.  The branches match ``np.clip`` bitwise, including the
+``-0.0`` corner (np.clip keeps it).  A nested ``noise``, which no profile
+builds, takes the one-element fallback.  Bases and noise run on every
+read, so the count and order of shared-RNG draws are exactly those of the
+numpy path.
+
 Invalidation is by identity: the simulation keeps one ``CompiledDemand``
 per VM and recompiles whenever the registered :class:`VMDemand` object is
-replaced (create, resize) and drops the entry on delete, so a stale table
-can never serve a new waveform.
+replaced (create, resize) and drops the entry when the VM leaves.
 """
 
 from __future__ import annotations
@@ -53,42 +57,13 @@ from repro.workloads.patterns import SECONDS_PER_DAY
 
 _DAY = float(SECONDS_PER_DAY)
 
-#: Hard cap on one waveform table.  Simulation timestamps land on the
-#: scrape/DRS grids, so a day-periodic pattern sees at most
-#: 86400/gcd(intervals) distinct phases (96 at the default 900 s); the cap
-#: only guards pathological callers that sweep arbitrary timestamps.
-TABLE_CAP = 1024
-
 ScalarPattern = Callable[[float], float]
-
 
 def _fallback(pattern) -> ScalarPattern:
     """Call the vectorised closure with a one-element grid (always exact)."""
 
     def fn(t: float) -> float:
         return float(pattern(np.asarray([t], dtype=float))[0])
-
-    return fn
-
-
-def _memoized_by_day_phase(pattern) -> ScalarPattern:
-    """Waveform table for day-periodic transcendental patterns.
-
-    The value must come from the original numpy closure: ``np.exp`` and
-    ``math.exp`` differ in the last ulp on some hosts, and the fast path
-    promises byte-identical telemetry.  ``%`` is exact for positive
-    operands, so the phase key loses no information.
-    """
-    table: dict[float, float] = {}
-
-    def fn(t: float) -> float:
-        phase = t % _DAY
-        v = table.get(phase)
-        if v is None:
-            if len(table) >= TABLE_CAP:
-                table.clear()
-            v = table[phase] = float(pattern(np.asarray([t], dtype=float))[0])
-        return v
 
     return fn
 
@@ -131,7 +106,18 @@ def compile_pattern(pattern) -> ScalarPattern:
         return spike_fn
 
     if kind == "diurnal":
-        return _memoized_by_day_phase(pattern)
+        base, peak, peak_hour, width_hours = (float(x) for x in basis[1:])
+        swing = peak - base
+
+        def diurnal_fn(t: float) -> float:
+            # The closure's expression, operation for operation.
+            hour = (t % _DAY) / 3600.0
+            a = abs(hour - peak_hour)
+            b = 24.0 - a
+            z = (a if a <= b else b) / width_hours
+            return base + swing * float(np.exp(-0.5 * (z * z)))
+
+        return diurnal_fn
 
     if kind == "bursty":
         rng = getattr(pattern, "rng", None)
@@ -189,25 +175,22 @@ def compile_pattern(pattern) -> ScalarPattern:
 
         return prod_fn
 
-    if kind == "noise":
-        inner = getattr(pattern, "inner", None)
-        rng = getattr(pattern, "rng", None)
-        if inner is None or rng is None:
-            return _fallback(pattern)
-        sigma = pattern.sigma
-        inner_fn = compile_pattern(inner)
-
-        def noise_fn(t: float) -> float:
-            v = inner_fn(t) + rng.normal(0.0, sigma)
-            if v < 0.0:
-                return 0.0
-            if v > 1.0:
-                return 1.0
-            return v
-
-        return noise_fn
-
     return _fallback(pattern)
+
+
+def _split_noise(pattern) -> tuple[object, float, Callable | None]:
+    """``(base, sigma, normal)`` for one demand channel.
+
+    A top-level ``noise`` pattern splits into its inner pattern and the
+    bound ``rng.normal`` that perturbs it; any other pattern is its own
+    base with no noise (``normal`` is None).
+    """
+    basis = getattr(pattern, "basis", None)
+    inner = getattr(pattern, "inner", None)
+    rng = getattr(pattern, "rng", None)
+    if basis is not None and basis[0] == "noise" and inner is not None and rng is not None:
+        return inner, pattern.sigma, rng.normal
+    return pattern, 0.0, None
 
 
 class CompiledDemand:
@@ -222,8 +205,12 @@ class CompiledDemand:
 
     __slots__ = (
         "demand",
-        "_cpu_fn",
-        "_mem_fn",
+        "_cpu_base",
+        "_cpu_sigma",
+        "_cpu_normal",
+        "_mem_base",
+        "_mem_sigma",
+        "_mem_normal",
         "_vcpus",
         "_ram_mb",
         "_net_rate",
@@ -232,8 +219,10 @@ class CompiledDemand:
 
     def __init__(self, demand: VMDemand) -> None:
         self.demand = demand
-        self._cpu_fn = compile_pattern(demand.cpu_pattern)
-        self._mem_fn = compile_pattern(demand.mem_pattern)
+        cpu_base, self._cpu_sigma, self._cpu_normal = _split_noise(demand.cpu_pattern)
+        self._cpu_base = compile_pattern(cpu_base)
+        mem_base, self._mem_sigma, self._mem_normal = _split_noise(demand.mem_pattern)
+        self._mem_base = compile_pattern(mem_base)
         self._vcpus = demand.flavor.vcpus
         self._ram_mb = demand.flavor.ram_mb
         # Same association order as VMDemand.evaluate's product.
@@ -245,12 +234,16 @@ class CompiledDemand:
         self._disk_gb = demand.disk_used_fraction * demand.flavor.disk_gb
 
     def evaluate(self, t: float) -> tuple[float, float, float, float, float]:
-        cpu = self._cpu_fn(t)
+        cpu = self._cpu_base(t)
+        if self._cpu_normal is not None:
+            cpu = cpu + self._cpu_normal(0.0, self._cpu_sigma)
         if cpu < 0.0:
             cpu = 0.0
         elif cpu > 1.0:
             cpu = 1.0
-        mem = self._mem_fn(t)
+        mem = self._mem_base(t)
+        if self._mem_normal is not None:
+            mem = mem + self._mem_normal(0.0, self._mem_sigma)
         if mem < 0.0:
             mem = 0.0
         elif mem > 1.0:

@@ -125,7 +125,11 @@ class TestEvacuation:
         # Fill both nodes' memory exactly (8 x 256 GiB = 2 TiB per node).
         for n, node_id in enumerate(("bb0-node-000", "bb0-node-001")):
             for i in range(8):
-                _place(sim, f"vm{n}-{i}", "g_c32_m256", node_id)
+                vm = _place(sim, f"vm{n}-{i}", "g_c32_m256", node_id)
+                sim.demands[vm.vm_id] = sim.demand_model.demand_for(vm.flavor)
+        # One scrape compiles every VM's demand evaluator.
+        sim._handle_scrape(sim.engine, None)
+        assert set(sim._compiled) == set(sim.demands)
         sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
         sim.engine.run_until(5000.0)
 
@@ -141,6 +145,9 @@ class TestEvacuation:
             vm = sim.vms[vm_id]
             assert vm.state is VMState.ERROR
             assert sim.placement.allocation_for(vm_id) is None
+            # Nothing of a dead-lettered VM's demand outlives it.
+            assert vm_id not in sim.demands
+            assert vm_id not in sim._compiled
         # The surviving node's VMs were never disturbed.
         assert len(sim._node_index["bb0-node-001"].vms) == 8
 

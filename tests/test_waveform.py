@@ -23,7 +23,6 @@ from repro.workloads import patterns
 from repro.workloads.demand import DemandModel
 from repro.workloads.profiles import PROFILES
 from repro.workloads.waveform import (
-    TABLE_CAP,
     CompiledDemand,
     compile_demand,
     compile_pattern,
@@ -114,16 +113,53 @@ def test_compile_demand_returns_compiled_type():
     assert compiled.demand is subject
 
 
-def test_diurnal_memo_stays_exact_past_table_cap():
-    """The day-phase memo clears at TABLE_CAP entries; exactness must
-    survive the flush (distinct phases > cap forces at least one)."""
-    pattern = patterns.diurnal(base=0.2, peak=0.9)
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.floats(min_value=0.0, max_value=0.8),
+    swing=st.floats(min_value=0.0, max_value=0.7),
+    peak_hour=st.floats(min_value=0.0, max_value=24.0),
+    width_hours=st.floats(min_value=0.25, max_value=12.0),
+    times=st.lists(
+        st.floats(min_value=0.0, max_value=400 * 86_400.0), min_size=1, max_size=40
+    ),
+)
+def test_scalar_diurnal_equals_closure(base, swing, peak_hour, width_hours, times):
+    """The diurnal is re-derived on Python floats (z * z for ``** 2``, a
+    branch for ``np.minimum``, scalar ``np.exp``); every value must match
+    the numpy closure bit for bit."""
+    pattern = patterns.diurnal(
+        base=base, peak=base + swing, peak_hour=peak_hour, width_hours=width_hours
+    )
     fn = compile_pattern(pattern)
-    # Prime-ish stride so phases don't repeat until well past the cap.
-    times = [i * 7919.0 for i in range(TABLE_CAP + 50)]
     for t in times:
-        expected = float(pattern(np.asarray([t], dtype=float))[0])
-        assert fn(t) == expected
+        assert fn(t) == float(pattern(np.asarray([t], dtype=float))[0]), t
+
+
+def test_scalar_diurnal_exact_on_a_dense_day_grid():
+    """A phase every 5 s across one day, for profile-like parameters:
+    every phase the simulation's 900 s ticks land on, and many more."""
+    pattern = patterns.diurnal(base=0.21, peak=0.87, peak_hour=11.3, width_hours=3.7)
+    fn = compile_pattern(pattern)
+    ts = np.arange(0.0, 86_400.0, 5.0)
+    expected = [float(pattern(np.asarray([t]))[0]) for t in ts]
+    assert [fn(t) for t in ts.tolist()] == expected
+
+
+@pytest.mark.parametrize("profile_name", _PROFILE_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    t=st.floats(min_value=0.0, max_value=30 * 86_400.0),
+    t2=st.floats(min_value=0.0, max_value=30 * 86_400.0),
+)
+def test_repeated_and_non_monotonic_reads_stay_exact(profile_name, seed, t, t2):
+    """Reads at (t, t, t2, t), as a DRS pass and the next scrape make them:
+    every repeated read must draw fresh noise exactly like the numpy path,
+    and nothing of one timestamp's read may leak into another's."""
+    reference, subject = _demand_pair(seed, "g_c8_m32", profile_name)
+    compiled = compile_demand(subject)
+    for when in (t, t, t2, t, t2, t2):
+        assert compiled.evaluate(when) == _legacy_tuple(reference, when), when
 
 
 def test_weekly_exact_on_day_boundaries():
@@ -147,6 +183,24 @@ def test_unknown_pattern_falls_back_to_closure():
 
     fn = compile_pattern(custom)
     assert fn(123.0) == 0.5
+
+
+def test_nested_noise_falls_back_exactly():
+    """Only a channel's top-level noise is flattened; a noise pattern
+    inside a composite takes the one-element fallback and must still
+    draw and round exactly like the closure."""
+    rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+    pair = [
+        patterns.composite(
+            [patterns.with_noise(patterns.diurnal(0.2, 0.8), 0.05, rng),
+             patterns.weekly(1.0, 0.6)],
+            mode="product",
+        )
+        for rng in rngs
+    ]
+    fn = compile_pattern(pair[1])
+    for t in (0.0, 900.0, 900.0, 40_000.0, 900.0):
+        assert fn(t) == float(pair[0](np.asarray([t], dtype=float))[0]), t
 
 
 @pytest.mark.parametrize("profile_name", _PROFILE_NAMES)
