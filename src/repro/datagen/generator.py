@@ -23,6 +23,7 @@ from repro.infrastructure.capacity import Capacity
 from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode, Region
 from repro.infrastructure.topology import build_region, paper_region_spec
 from repro.infrastructure.vm import VM
+from repro.sampling import categorical_cdf, draw
 from repro.simulation.hostsched import HostCpuModel
 from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import TimeSeries
@@ -249,8 +250,7 @@ def _pick_building_block(
         total = sum(weights)
         if total <= 0:
             return None
-    probabilities = np.asarray(weights) / total
-    return candidates[int(rng.choice(len(candidates), p=probabilities))]
+    return candidates[draw(categorical_cdf(np.asarray(weights) / total), rng)]
 
 
 def _assign_migrations(

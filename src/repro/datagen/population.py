@@ -26,6 +26,7 @@ from repro.infrastructure.flavors import (
     FlavorCatalog,
     default_catalog,
 )
+from repro.sampling import categorical_cdf, draw
 from repro.workloads.demand import DemandModel, VMDemand
 from repro.workloads.lifetime import sample_lifetime
 from repro.workloads.profiles import profile_for_flavor
@@ -109,7 +110,8 @@ def sample_population(
             candidates = np.asarray(
                 [sample_lifetime(profile.name, rng) for _ in range(4)]
             )
-            lifetime = float(rng.choice(candidates, p=candidates / candidates.sum()))
+            pick = draw(categorical_cdf(candidates / candidates.sum()), rng)
+            lifetime = float(candidates[pick])
             age = float(rng.uniform(0.0, lifetime))
             created = window_start - age
             deleted = created + lifetime

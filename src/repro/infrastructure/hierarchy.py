@@ -17,19 +17,6 @@ from repro.infrastructure.capacity import Capacity, OvercommitPolicy
 from repro.infrastructure.vm import VM
 
 
-#: Monotonic counter bumped by every node-level mutation that can affect
-#: scheduling: VM add/remove and the failure/maintenance flags.  The
-#: scheduler's HostStateIndex compares it across queries to skip its
-#: fingerprint scan entirely when no node changed — O(1) instead of
-#: O(nodes) on the scheduling hot path.
-NODE_MUTATION_EPOCH = 0
-
-
-def _bump_node_epoch() -> None:
-    global NODE_MUTATION_EPOCH
-    NODE_MUTATION_EPOCH += 1
-
-
 @dataclass
 class ComputeNode:
     """One physical hypervisor.
@@ -53,15 +40,19 @@ class ComputeNode:
     #: flap (fail/recover oscillation).  A quarantined node keeps its
     #: resident VMs but accepts no new placements until re-admitted.
     quarantined: bool = False
-    #: Bumped by add_vm/remove_vm; part of the resident-VM memo guard.
-    _vm_epoch: int = field(default=0, init=False, repr=False, compare=False)
-    #: (vm_epoch, vms-dict ref, len, allocated Capacity, tenant frozenset)
-    #: summarising the resident VMs, or None.  The dict-identity + length
-    #: guards catch mutations that bypass add_vm/remove_vm (e.g. the verify
-    #: harness forking ``vms`` to inject a ghost VM), so a stale summary can
-    #: never be served to a caller that would otherwise re-count the
-    #: registry.
+    #: (vms-dict ref, len, allocated Capacity, tenant frozenset) summarising
+    #: the resident VMs, or None.  ``add_vm`` extends it and ``remove_vm``
+    #: drops it; the dict-identity + length guards catch writes that bypass
+    #: both (e.g. the verify harness writing a ghost VM straight into
+    #: ``vms``), so a stale summary can never be served to a caller that
+    #: would otherwise re-count the registry.
     _vm_memo: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The building block this node is a member of (set by ``add_node``);
+    #: every VM add/remove and health-flag write is reported to it, and it
+    #: forwards the change to whoever watches it (the scheduler's index).
+    _owner: BuildingBlock | None = field(
         default=None, init=False, repr=False, compare=False
     )
     #: (policy ref, physical ref, allocatable Capacity) of the last
@@ -72,12 +63,14 @@ class ComputeNode:
     )
 
     def __setattr__(self, name: str, value) -> None:
-        # Flipping a health flag must invalidate any scheduler-side cache;
-        # writes to these fields are rare, so the hook costs nothing
-        # where it matters.
-        if name == "failed" or name == "maintenance" or name == "quarantined":
-            _bump_node_epoch()
         object.__setattr__(self, name, value)
+        # A health-flag write, however it happens, reaches the owning
+        # block's watchers; these writes are rare, so the hook costs
+        # nothing where it matters.
+        if name == "failed" or name == "maintenance" or name == "quarantined":
+            owner = self._owner
+            if owner is not None:
+                owner._node_health_changed()
 
     @property
     def healthy(self) -> bool:
@@ -89,12 +82,7 @@ class ComputeNode:
         remove or registry swap (O(VMs on this node))."""
         vms = self.vms
         memo = self._vm_memo
-        if (
-            memo is not None
-            and memo[0] == self._vm_epoch
-            and memo[1] is vms
-            and memo[2] == len(vms)
-        ):
+        if memo is not None and memo[0] is vms and memo[1] == len(vms):
             return memo
         # Component sums in residency order: the same float additions as
         # folding Capacity.__add__ over the requests.
@@ -108,7 +96,6 @@ class ComputeNode:
             network_gbps += req.network_gbps
             tenants.add(vm.tenant)
         memo = (
-            self._vm_epoch,
             vms,
             len(vms),
             Capacity(vcpus, memory_mb, disk_gb, network_gbps),
@@ -119,11 +106,11 @@ class ComputeNode:
 
     def allocated(self) -> Capacity:
         """Sum of resources requested by resident VMs (memoised)."""
-        return self._resident()[3]
+        return self._resident()[2]
 
     def tenants(self) -> frozenset[str]:
         """Tenants with a VM resident on this node (memoised)."""
-        return self._resident()[4]
+        return self._resident()[3]
 
     def allocatable(self, policy: OvercommitPolicy) -> Capacity:
         """``policy.allocatable(self.physical)``, cached per policy."""
@@ -150,7 +137,7 @@ class ComputeNode:
         cached allocatable and allocated vectors, with no Capacity built.
         """
         cap = self.allocatable(policy)
-        used = self._resident()[3]
+        used = self._resident()[2]
         vcpus = cap.vcpus - used.vcpus
         memory_mb = cap.memory_mb - used.memory_mb
         disk_gb = cap.disk_gb - used.disk_gb
@@ -175,41 +162,34 @@ class ComputeNode:
         if vm.vm_id in vms:
             raise ValueError(f"VM {vm.vm_id} already on node {self.node_id}")
         memo = self._vm_memo
-        current = (
-            memo is not None
-            and memo[0] == self._vm_epoch
-            and memo[1] is vms
-            and memo[2] == len(vms)
-        )
+        current = memo is not None and memo[0] is vms and memo[1] == len(vms)
         vms[vm.vm_id] = vm
         vm.node_id = self.node_id
-        epoch = self._vm_epoch + 1
-        object.__setattr__(self, "_vm_epoch", epoch)
         if current:
             # The VM joins at the end of the residency order, so extending
             # each sum by its request gives the floats a recount would.
             req = vm.requested()
-            used = memo[3]
-            tenants = memo[4]
+            used = memo[2]
+            tenants = memo[3]
             if vm.tenant not in tenants:
                 tenants = tenants | {vm.tenant}
-            object.__setattr__(
-                self,
-                "_vm_memo",
-                (
-                    epoch,
-                    vms,
-                    len(vms),
-                    Capacity(
-                        used.vcpus + req.vcpus,
-                        used.memory_mb + req.memory_mb,
-                        used.disk_gb + req.disk_gb,
-                        used.network_gbps + req.network_gbps,
-                    ),
-                    tenants,
+            memo = (
+                vms,
+                len(vms),
+                Capacity(
+                    used.vcpus + req.vcpus,
+                    used.memory_mb + req.memory_mb,
+                    used.disk_gb + req.disk_gb,
+                    used.network_gbps + req.network_gbps,
                 ),
+                tenants,
             )
-        _bump_node_epoch()
+        else:
+            memo = None
+        object.__setattr__(self, "_vm_memo", memo)
+        owner = self._owner
+        if owner is not None:
+            owner._node_vm_added(vm)
 
     def remove_vm(self, vm_id: str) -> VM:
         """Remove and return a resident VM; clears its ``node_id``."""
@@ -218,8 +198,12 @@ class ComputeNode:
         except KeyError:
             raise KeyError(f"VM {vm_id} not on node {self.node_id}") from None
         vm.node_id = None
-        object.__setattr__(self, "_vm_epoch", self._vm_epoch + 1)
-        _bump_node_epoch()
+        # Subtracting would not give the floats a recount in residency
+        # order gives, so the next read recounts.
+        object.__setattr__(self, "_vm_memo", None)
+        owner = self._owner
+        if owner is not None:
+            owner._node_vm_removed(vm)
         return vm
 
     @property
@@ -250,6 +234,49 @@ class BuildingBlock:
     _physical_cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Subscribers told about every member-node change (see :meth:`watch`).
+    _watchers: list = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for node in self.nodes.values():
+            node._owner = self
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles leave the watchers behind: they belong to the
+        # simulation that subscribed to this building block.
+        state = dict(self.__dict__)
+        state["_watchers"] = []
+        return state
+
+    def watch(self, watcher) -> None:
+        """Subscribe ``watcher`` to member-node changes.
+
+        It is called as ``watcher.vm_added(bb, vm)`` and
+        ``watcher.vm_removed(bb, vm)`` after a member node's ``add_vm`` /
+        ``remove_vm``, ``watcher.health_changed(bb)`` after a write to a
+        member's ``failed``, ``maintenance`` or ``quarantined`` flag, and
+        ``watcher.nodes_changed(bb)`` after :meth:`add_node`.
+        """
+        self._watchers.append(watcher)
+
+    def unwatch(self, watcher) -> None:
+        """Unsubscribe a watcher (no-op if absent)."""
+        if watcher in self._watchers:
+            self._watchers.remove(watcher)
+
+    def _node_vm_added(self, vm: VM) -> None:
+        for watcher in self._watchers:
+            watcher.vm_added(self, vm)
+
+    def _node_vm_removed(self, vm: VM) -> None:
+        for watcher in self._watchers:
+            watcher.vm_removed(self, vm)
+
+    def _node_health_changed(self) -> None:
+        for watcher in self._watchers:
+            watcher.health_changed(self)
 
     def add_node(self, node: ComputeNode) -> None:
         """Add a member node, stamping its BB/DC/AZ identifiers."""
@@ -258,8 +285,10 @@ class BuildingBlock:
         node.building_block = self.bb_id
         node.datacenter = self.datacenter
         node.az = self.az
+        node._owner = self
         self.nodes[node.node_id] = node
-        _bump_node_epoch()
+        for watcher in self._watchers:
+            watcher.nodes_changed(self)
 
     def iter_nodes(self) -> Iterator[ComputeNode]:
         return iter(self.nodes.values())

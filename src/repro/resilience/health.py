@@ -6,8 +6,8 @@ a fixed cadence, logs transitions, and declares a node *flapping* when it
 oscillates too often inside the detection window.  Flapping nodes are
 **quarantined**: fenced from new placements (``ComputeNode.quarantined``,
 which the scheduler's node selection, the QuarantineFilter, and the
-``HostStateIndex`` fingerprint all respect) while keeping any resident
-VMs — quarantine is a fence, not an eviction.
+``HostStateIndex`` through the node's health notification all respect)
+while keeping any resident VMs — quarantine is a fence, not an eviction.
 
 The quarantine lifecycle is ``HEALTHY → QUARANTINED → PROBATION →
 HEALTHY``, with seeded jitter on quarantine durations and exponential

@@ -1,30 +1,35 @@
 """Incremental host-state index for the scheduling hot path.
 
-The legacy pipeline rebuilds every building block's :class:`HostState`
+The reference pipeline rebuilds every building block's :class:`HostState`
 from scratch for each request — O(building blocks × (nodes + VMs)) per
 placement.  At paper scale (~1,800 hypervisors, ~48k VMs) that rescan
 dominates the run.  The index keeps one long-lived ``HostState`` per
-building block and maintains it incrementally:
+building block and keeps it up to date from pushed changes, so a request
+costs only what it touches:
 
 * a :class:`~repro.scheduler.placement.PlacementService` listener updates
   free capacities the instant a claim / release / move lands — exactly,
-  since free capacity derives from the provider alone, no rebuild needed;
-* a cheap *fingerprint scan* — ``(vm_epochs, any_healthy)`` per
-  building block, one pass over the member nodes, where ``vm_epochs``
-  sums the nodes' ``add_vm``/``remove_vm`` counters — catches mutations
-  that do not flow through placement (host failures, maintenance,
-  node-level VM bookkeeping).  The epoch sum grows on every add or
-  remove, so a remove-then-add that keeps the VM count (but may change
-  the tenant set) still marks the block.  The scan itself is skipped in O(1)
-  whenever :data:`repro.infrastructure.hierarchy.NODE_MUTATION_EPOCH`
-  shows no node changed since the last query.  A drifted block is
-  rebuilt from the per-node resident-VM memos
-  (:meth:`ComputeNode.tenants`), so reflecting one node-level add or
-  remove re-reads only the touched node's VMs: O(nodes in the block +
-  VMs on the touched node);
+  since free capacity derives from the provider alone;
+* the index :meth:`~repro.infrastructure.hierarchy.BuildingBlock.watch`\\ es
+  every building block of its region.  A member node reports each
+  ``add_vm`` / ``remove_vm`` and each write to its ``failed``,
+  ``maintenance`` or ``quarantined`` flag to its block, which forwards it
+  here: ``num_instances`` and a per-block tenant multiset move by one VM
+  in O(1) (the ``tenants`` frozenset is rebuilt only when a tenant
+  appears or disappears), and a health write recomputes ``enabled`` from
+  that block's nodes alone.  Only ``add_node`` and :meth:`invalidate`
+  schedule a from-scratch rebuild of one block.  Nothing is shared
+  between indexes: two regions in one process never see each other's
+  changes;
 * free-vCPU *buckets* (log₂-spaced) give a constant-time superset of the
   hosts that can possibly satisfy a request's vCPU demand, so capacity
   filters start from a pre-narrowed candidate list.
+
+The contract this rests on: a node's ``vms`` registry changes only through
+``add_vm`` / ``remove_vm``.  A write that bypasses them (the verify
+harness's desync self-test plants exactly such a ghost VM) stays invisible
+to the index, and the differential oracle, whose truth re-reads the
+registries, reports it.
 
 Invariants (checked by the property tests):
 
@@ -38,10 +43,8 @@ Invariants (checked by the property tests):
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-from repro.infrastructure import hierarchy
 from repro.infrastructure.hierarchy import BuildingBlock, Region
+from repro.infrastructure.vm import VM
 from repro.scheduler.hoststate import HostState
 from repro.scheduler.placement import (
     DISK_GB,
@@ -50,9 +53,6 @@ from repro.scheduler.placement import (
     AllocationError,
     PlacementService,
 )
-
-
-_vm_epoch_of = attrgetter("_vm_epoch")
 
 
 def bucket_key(free_vcpus: float) -> int:
@@ -71,23 +71,20 @@ class HostStateIndex:
         }
         self._order: list[str] = list(self._bbs)
         self._states: dict[str, HostState] = {}
-        #: bb_id -> (vm_epochs, any_healthy) at last rebuild
-        self._fingerprints: dict[str, tuple[int, bool]] = {}
+        #: bb_id -> {tenant: resident VM count}, behind ``state.tenants``.
+        self._tenant_counts: dict[str, dict[str, int]] = {}
         self._dirty: set[str] = set(self._bbs)
         self._buckets: dict[int, set[str]] = {}
         self._bucket_of: dict[str, int] = {}
-        #: Scan accelerator, refreshed on rebuild: each block's node tuple
-        #: (members change only through ``add_node``, and node VM
-        #: registries only through ``add_vm``/``remove_vm``).
-        self._scan_nodes: dict[str, tuple] = {}
-        #: Last hierarchy.NODE_MUTATION_EPOCH the fingerprint scan ran at;
-        #: -1 forces the first scan.
-        self._seen_epoch = -1
+        for bb in self._bbs.values():
+            bb.watch(self)
         placement.add_listener(self._on_placement_event)
 
     def close(self) -> None:
-        """Unsubscribe from placement events (index becomes inert)."""
+        """Unsubscribe from placement and node changes (index becomes inert)."""
         self.placement.remove_listener(self._on_placement_event)
+        for bb in self._bbs.values():
+            bb.unwatch(self)
 
     # -- incremental maintenance ------------------------------------------------
 
@@ -97,11 +94,9 @@ class HostStateIndex:
         if event == "remove":
             self._discard(provider_id)
             return
-        # Fast path: free capacities track the provider immediately and
-        # exactly (they derive from nothing else).  The other fields
-        # (tenants, num_instances, enabled) change only through node-level
-        # mutations, which the fingerprint scan in :meth:`refresh` catches —
-        # so a claim/release does NOT need a full rebuild.
+        # Free capacities track the provider immediately and exactly (they
+        # derive from nothing else); the node-level fields arrive through
+        # the building-block notifications below.
         state = self._states.get(provider_id)
         if state is None:
             self._dirty.add(provider_id)
@@ -115,6 +110,47 @@ class HostStateIndex:
         state.free_disk_gb = provider.free(DISK_GB)
         self._place_in_bucket(provider_id, state.free_vcpus)
 
+    # A block with no built state yet is in ``_dirty``: its first build
+    # reads the nodes, so the notifications below have nothing to update.
+
+    def vm_added(self, bb: BuildingBlock, vm: VM) -> None:
+        """A member node of ``bb`` gained ``vm``."""
+        state = self._states.get(bb.bb_id)
+        if state is None:
+            return
+        state.num_instances += 1
+        counts = self._tenant_counts[bb.bb_id]
+        tenant = vm.tenant
+        held = counts.get(tenant, 0)
+        counts[tenant] = held + 1
+        if not held:
+            state.tenants = state.tenants | {tenant}
+
+    def vm_removed(self, bb: BuildingBlock, vm: VM) -> None:
+        """A member node of ``bb`` lost ``vm``."""
+        state = self._states.get(bb.bb_id)
+        if state is None:
+            return
+        state.num_instances -= 1
+        counts = self._tenant_counts[bb.bb_id]
+        tenant = vm.tenant
+        held = counts[tenant]
+        if held == 1:
+            del counts[tenant]
+            state.tenants = state.tenants - {tenant}
+        else:
+            counts[tenant] = held - 1
+
+    def health_changed(self, bb: BuildingBlock) -> None:
+        """A member node of ``bb`` had a health flag written."""
+        state = self._states.get(bb.bb_id)
+        if state is not None:
+            state.enabled = any(n.healthy for n in bb.nodes.values())
+
+    def nodes_changed(self, bb: BuildingBlock) -> None:
+        """``bb`` gained a member node: rebuild it on the next refresh."""
+        self._dirty.add(bb.bb_id)
+
     def invalidate(self, host_id: str) -> None:
         """Force a from-scratch rebuild of one building block's state."""
         if host_id in self._bbs:
@@ -125,38 +161,12 @@ class HostStateIndex:
         self._dirty.update(self._bbs)
 
     def refresh(self) -> None:
-        """Bring every cached state up to date (fingerprint scan + rebuilds)."""
+        """Rebuild the blocks marked for a from-scratch rebuild, if any."""
         dirty = self._dirty
-        epoch = hierarchy.NODE_MUTATION_EPOCH
-        if epoch != self._seen_epoch:
-            self._seen_epoch = epoch
-            self._fingerprint_scan(dirty)
         if dirty:
             for bb_id in dirty:
                 self._rebuild_one(bb_id)
             dirty.clear()
-
-    def _fingerprint_scan(self, dirty: set[str]) -> None:
-        """Mark building blocks whose node-level view drifted as dirty."""
-        fingerprints = self._fingerprints
-        scan_nodes = self._scan_nodes
-        for bb_id, bb in self._bbs.items():
-            if bb_id in dirty:
-                continue
-            # O(nodes) with a tiny constant: a C-level sum over the nodes'
-            # add/remove counters, short-circuiting any() on the raw flags
-            # (skips per-node ``healthy`` property-call overhead).  Node
-            # membership changes are caught by the length check.
-            nodes = scan_nodes[bb_id]
-            if len(nodes) != len(bb.nodes):
-                dirty.add(bb_id)
-                continue
-            vm_epochs = sum(map(_vm_epoch_of, nodes))
-            healthy = any(
-                not (n.maintenance or n.failed or n.quarantined) for n in nodes
-            )
-            if fingerprints.get(bb_id) != (vm_epochs, healthy):
-                dirty.add(bb_id)
 
     def _rebuild_one(self, bb_id: str) -> None:
         bb = self._bbs[bb_id]
@@ -167,19 +177,19 @@ class HostStateIndex:
             # way a fresh from-scratch rebuild by the caller would re-stamp.
             state.metadata.update(old.metadata)
         self._states[bb_id] = state
-        nodes = tuple(bb.nodes.values())
-        self._fingerprints[bb_id] = (
-            sum(map(_vm_epoch_of, nodes)),
-            state.enabled,
-        )
-        self._scan_nodes[bb_id] = nodes
+        counts: dict[str, int] = {}
+        for node in bb.nodes.values():
+            for vm in node.vms.values():
+                counts[vm.tenant] = counts.get(vm.tenant, 0) + 1
+        self._tenant_counts[bb_id] = counts
         self._place_in_bucket(bb_id, state.free_vcpus)
 
     def _discard(self, bb_id: str) -> None:
-        self._bbs.pop(bb_id, None)
+        bb = self._bbs.pop(bb_id, None)
+        if bb is not None:
+            bb.unwatch(self)
         self._states.pop(bb_id, None)
-        self._fingerprints.pop(bb_id, None)
-        self._scan_nodes.pop(bb_id, None)
+        self._tenant_counts.pop(bb_id, None)
         self._dirty.discard(bb_id)
         if bb_id in self._order:
             self._order.remove(bb_id)

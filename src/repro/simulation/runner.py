@@ -40,6 +40,7 @@ from repro.resilience.health import HostHealthService
 from repro.resilience.invariants import InvariantChecker
 from repro.resilience.reconciler import InventoryReconciler
 from repro.resilience.report import ResilienceReport
+from repro.sampling import categorical_cdf, draw
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.filters import QuarantineFilter, default_filters
 from repro.scheduler.pipeline import FilterScheduler, NoValidHost
@@ -83,7 +84,8 @@ class SimulationConfig:
 
     duration_days: float = 3.0
     scrape_interval_s: float = 900.0
-    drs_interval_s: float = 3600.0
+    #: Seconds between DRS passes; None runs no DRS pass at all.
+    drs_interval_s: float | None = 3600.0
     #: VM arrivals per hour (Poisson).
     arrival_rate_per_hour: float = 20.0
     #: Resize events per hour (Poisson); a random live VM changes flavor.
@@ -108,6 +110,15 @@ class SimulationConfig:
     #: Control-plane resilience knobs (host health / quarantine, admission
     #: control, reconciliation, invariants); None disables the layer.
     resilience: ResilienceConfig | None = None
+
+    def __post_init__(self) -> None:
+        # A zero interval would schedule its recurring event forever.
+        for name in ("duration_days", "scrape_interval_s", "drs_interval_s"):
+            value = getattr(self, name)
+            if value is None and name == "drs_interval_s":
+                continue
+            if not value > 0:
+                raise ValueError(f"SimulationConfig.{name} must be > 0, got {value!r}")
 
 
 @dataclass
@@ -317,7 +328,7 @@ class RegionSimulation:
         mix = [(n, w) for n, w in FLAVOR_MIX if w > 0 and n in self.catalog]
         self._mix_flavors = [self.catalog.get(n) for n, _ in mix]
         weights = np.asarray([w for _, w in mix])
-        self._mix_p = weights / weights.sum()
+        self._mix_cdf = categorical_cdf(weights / weights.sum())
 
     # -- public API ---------------------------------------------------------------
 
@@ -336,10 +347,12 @@ class RegionSimulation:
         while t < end:
             self.engine.schedule(t, SCRAPE)
             t += self.config.scrape_interval_s
-        t = start + self.config.drs_interval_s
-        while t < end:
-            self.engine.schedule(t, DRS_RUN)
-            t += self.config.drs_interval_s
+        drs_interval = self.config.drs_interval_s
+        if drs_interval is not None:
+            t = start + drs_interval
+            while t < end:
+                self.engine.schedule(t, DRS_RUN)
+                t += drs_interval
         if self.fault_injector is not None:
             self.fault_injector.schedule_host_failures(self.engine, start, end)
             self.fault_injector.schedule_domain_outages(self.engine, start, end)
@@ -773,5 +786,4 @@ class RegionSimulation:
     # -- helpers ------------------------------------------------------------------
 
     def _pick_flavor(self):
-        idx = self.rng.choice(len(self._mix_flavors), p=self._mix_p)
-        return self._mix_flavors[int(idx)]
+        return self._mix_flavors[draw(self._mix_cdf, self.rng)]

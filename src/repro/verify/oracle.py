@@ -28,7 +28,6 @@ shift the request stream between paths.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,43 +180,27 @@ class ReplayOutcome:
     index_mismatches: list[Mismatch] = field(default_factory=list)
 
 
-def desync_index(
-    region: Region, placement: PlacementService, touched: frozenset[str]
-) -> bool:
+def desync_index(region: Region, placement: PlacementService) -> bool:
     """Deliberately desync the scheduler cache: ghost-write VM registries.
 
-    Swaps every node of the first building block for a copy whose ``vms``
-    registry gains a ghost VM, writing ``bb.nodes`` entries and the copy's
-    fields directly so no ``NODE_MUTATION_EPOCH`` bump, ``add_node`` or
-    ``add_vm`` ever happens.  This violates the index's documented scan
-    contract (the member set changes only through ``add_node``): the
-    fingerprint scan keeps reading the orphaned node objects, whose
-    add/remove counters never move again (the replay resolves nodes by id,
-    so later creates and deletes land on the copies), so the ghosts — and
-    every later placement onto the block — stay invisible to the
-    incremental path, while the naive rebuild path sees the true
-    registries on every request.  Exactly the class of bug (mutation
-    outside the tracked paths, no epoch bump) the oracle exists to catch.
-
-    Defers (returns ``False``) while recent ops touched the target block:
-    swapping then would orphan nodes the index has not yet
-    re-fingerprinted, and the pending drift would trigger a from-truth
-    rebuild that heals the corruption before it can diverge.
+    Writes a ghost VM straight into the ``vms`` registry of every node of
+    the first building block, skipping ``add_vm`` and therefore the
+    notification the index relies on.  The index keeps serving the
+    block's old instance count and tenant set (``t-ghost`` never joins),
+    while the naive rebuild path and the oracle's from-scratch truth
+    re-read the registries and see the ghosts.  Exactly the class of bug
+    (a mutation outside the tracked paths) the oracle exists to catch.
+    Always applies, so it returns ``True``.
     """
     bb = next(iter(region.iter_building_blocks()))
-    if bb.bb_id in touched:
-        return False
     catalog = default_catalog()
     flavor = next(catalog.get(n) for n, w in FLAVOR_MIX if w > 0 and n in catalog)
-    for k, node in enumerate(list(bb.nodes.values())):
+    for k, node in enumerate(bb.nodes.values()):
         ghost = VM(vm_id=f"vf-ghost-{k}", flavor=flavor, tenant="t-ghost")
         ghost.transition(VMState.BUILDING)
         ghost.transition(VMState.ACTIVE)
-        twin = copy.copy(node)
-        forked = dict(node.vms)
-        forked[ghost.vm_id] = ghost
-        object.__setattr__(twin, "vms", forked)
-        bb.nodes[node.node_id] = twin
+        ghost.node_id = node.node_id
+        node.vms[ghost.vm_id] = ghost
     return True
 
 
@@ -233,14 +216,11 @@ def replay_workload(
 ) -> ReplayOutcome:
     """Replay ``ops`` through a fresh region + scheduler; snapshot the end.
 
-    ``perturb`` (called with ``(region, placement, touched)`` after every
-    op from index ``perturb_after`` until it returns ``True``) lets
-    callers inject corruption mid-run; ``touched`` is the set of building
-    blocks whose node registries mutated since the last scheduler refresh,
-    so a perturbation can defer until its target is quiescent.  Both
-    differential paths replay identical ops and placements up to the
-    injection point, hence apply the same perturbation at the same
-    position.
+    ``perturb`` (called with ``(region, placement)`` after every op from
+    index ``perturb_after`` until it returns ``True``) lets callers inject
+    corruption mid-run.  Both differential paths replay identical ops and
+    placements up to the injection point, hence apply the same
+    perturbation at the same position.
     """
     region = build_region(spec)
     placement = PlacementService()
@@ -256,9 +236,6 @@ def replay_workload(
     trace: list[tuple[str, str | None, float, int]] = []
     placements: dict[str, str] = {}
     perturbed = perturb is None
-    #: Building blocks whose node registries mutated since the last
-    #: scheduler refresh (schedule() refreshes the index on entry).
-    touched: set[str] = set()
 
     for i, op in enumerate(ops):
         if op.op == "create":
@@ -267,7 +244,6 @@ def replay_workload(
                 flavor=catalog.get(op.flavor_name),
                 tenant=op.tenant,
             )
-            touched.clear()
             try:
                 result = scheduler.schedule(spec_req)
             except NoValidHost:
@@ -289,7 +265,6 @@ def replay_workload(
                     vm.transition(VMState.BUILDING)
                     vm.transition(VMState.ACTIVE)
                     node.add_vm(vm)
-                    touched.add(result.host_id)
                     node_of[op.vm_id] = node.node_id
                     placements[op.vm_id] = result.host_id
                     trace.append(
@@ -306,9 +281,8 @@ def replay_workload(
                 continue  # the create was rejected on this path
             bb_index[bb_id].nodes[node_of.pop(op.vm_id)].remove_vm(op.vm_id)
             placement.release(op.vm_id)
-            touched.add(bb_id)
         if not perturbed and i >= perturb_after:
-            perturbed = bool(perturb(region, placement, frozenset(touched)))
+            perturbed = bool(perturb(region, placement))
 
     index_mismatches: list[Mismatch] = []
     if scheduler.index is not None:

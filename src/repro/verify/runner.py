@@ -12,7 +12,8 @@ Checks:
     Differential scheduler oracle (naive vs indexed vs scalar weighers).
 ``desync``
     Harness self-test: replays the oracle with a deliberately injected
-    index desync (nodes swapped for ghost-VM copies, no epoch bump) and
+    index desync (ghost VMs written straight into node registries,
+    skipping ``add_vm`` and its notification to the index) and
     *passes only if the corruption is detected* — guarding the guard.
 ``metamorphic``
     Telemetry + scheduler metamorphic properties.

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.sampling import categorical_cdf, draw
+
 HOUR = 3600.0
 DAY = 86_400.0
 YEAR = 365.0 * DAY
@@ -59,6 +61,16 @@ class LifetimeModel:
         # Floor at one minute: sub-minute VMs don't appear in the dataset.
         return np.maximum(out, 60.0)
 
+    @cached_property
+    def _cdf(self) -> list[float]:
+        return categorical_cdf(self._mixture[0])
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        """One lifetime in seconds: ``float(self.sample(rng, 1)[0])``,
+        draw for draw, from one uniform and one scalar log-normal."""
+        log_median, sigma = self._mixture[1][draw(self._cdf, rng)]
+        return max(rng.lognormal(log_median, sigma), 60.0)
+
 
 #: Per-profile lifetime models.  HANA and k8s infra skew long-lived; CI/CD
 #: and dev environments skew short- to medium-lived.
@@ -95,4 +107,4 @@ LIFETIME_MODELS: dict[str, LifetimeModel] = {
 def sample_lifetime(profile_name: str, rng: np.random.Generator) -> float:
     """Draw one lifetime (seconds) for a VM of the given profile."""
     model = LIFETIME_MODELS.get(profile_name, LIFETIME_MODELS["general"])
-    return float(model.sample(rng, 1)[0])
+    return model.sample_one(rng)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.infrastructure.flavors import Flavor
+from repro.sampling import categorical_cdf, draw
 from repro.workloads import patterns as pat
 
 
@@ -217,7 +218,7 @@ _GENERAL_MIX: tuple[tuple[str, float], ...] = (
 )
 _GENERAL_PROFILES = tuple(PROFILES[name] for name, _ in _GENERAL_MIX)
 _GENERAL_WEIGHTS = np.asarray([w for _, w in _GENERAL_MIX])
-_GENERAL_P = _GENERAL_WEIGHTS / _GENERAL_WEIGHTS.sum()
+_GENERAL_CDF = categorical_cdf(_GENERAL_WEIGHTS / _GENERAL_WEIGHTS.sum())
 
 
 def profile_for_flavor(flavor: Flavor, rng: np.random.Generator) -> WorkloadProfile:
@@ -234,5 +235,4 @@ def profile_for_flavor(flavor: Flavor, rng: np.random.Generator) -> WorkloadProf
         return PROFILES["k8s_infra"]
     if flavor.vcpus > 16 and rng.random() < 0.5:
         return PROFILES["abap_app"]
-    choice = rng.choice(len(_GENERAL_PROFILES), p=_GENERAL_P)
-    return _GENERAL_PROFILES[int(choice)]
+    return _GENERAL_PROFILES[draw(_GENERAL_CDF, rng)]

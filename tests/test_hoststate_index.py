@@ -7,14 +7,18 @@ no matter how claims, releases, moves, rollbacks, node failures, or
 VM bookkeeping interleaved since the last query.
 """
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.infrastructure.flavors import default_catalog
+from repro.infrastructure.topology import build_region
 from repro.infrastructure.vm import VM
 from repro.scheduler.hoststate import HostState
 from repro.scheduler.index import HostStateIndex, bucket_key
 from repro.scheduler.placement import AllocationError, PlacementService
+from tests.conftest import build_tiny_region_spec, make_node
 
 _COMPARED_FIELDS = (
     "host_id",
@@ -142,6 +146,70 @@ class TestIncrementalMaintenance:
         assert all(s.host_id != "dc1-hana-01" for s in index.states())
         assert all("dc1-hana-01" not in bbs for bbs in index.buckets().values())
 
+    def test_discarded_block_is_unwatched(self, tiny_region, placement, index, catalog):
+        index.refresh()
+        bb = next(
+            b for b in tiny_region.iter_building_blocks() if b.bb_id == "dc1-hana-01"
+        )
+        placement.remove_provider(bb.bb_id)
+        node = next(bb.iter_nodes())
+        # Later node mutations neither raise nor resurrect the block.
+        node.add_vm(VM(vm_id="vm-late", flavor=catalog.get("g_c2_m8"), tenant="t1"))
+        node.failed = True
+        node.remove_vm("vm-late")
+        bb.add_node(make_node("late-node"))
+        index.refresh()
+        assert all(s.host_id != bb.bb_id for s in index.states())
+        assert all(bb.bb_id not in bbs for bbs in index.buckets().values())
+        assert index not in bb._watchers
+
+    def test_deep_copy_of_watched_block_drops_watchers(
+        self, tiny_region, placement, index, catalog
+    ):
+        # DRS recommendations work on a deep copy: mutating it must not
+        # reach (or drag along a copy of) the live index.
+        index.refresh()
+        bb = next(iter(tiny_region.iter_building_blocks()))
+        snapshot = copy.deepcopy(bb)
+        assert snapshot._watchers == [] and bb._watchers == [index]
+        node = next(snapshot.iter_nodes())
+        assert node._owner is snapshot
+        node.add_vm(VM(vm_id="vm-copy", flavor=catalog.get("g_c2_m8"), tenant="tc"))
+        node.failed = True
+        assert_equivalent(index, tiny_region, placement)
+
+    def test_two_regions_never_see_each_other(self, catalog):
+        regions, placements, indexes = [], [], []
+        for _ in range(2):
+            region = build_region(build_tiny_region_spec())
+            placement = PlacementService()
+            for bb in region.iter_building_blocks():
+                placement.register_building_block(bb)
+            index = HostStateIndex(region, placement)
+            index.refresh()
+            regions.append(region)
+            placements.append(placement)
+            indexes.append(index)
+        before = [
+            [(s.num_instances, s.tenants, s.enabled) for s in idx.states()]
+            for idx in indexes
+        ]
+        # Mutate only the first region, through every notifying path.
+        bb = next(regions[0].iter_building_blocks())
+        node = next(bb.iter_nodes())
+        node.add_vm(VM(vm_id="vm-a", flavor=catalog.get("g_c2_m8"), tenant="ta"))
+        for member in bb.iter_nodes():
+            member.maintenance = True
+        bb.add_node(make_node("joiner"))
+        indexes[1].refresh()
+        assert [
+            (s.num_instances, s.tenants, s.enabled) for s in indexes[1].states()
+        ] == before[1]
+        assert_equivalent(indexes[0], regions[0], placements[0])
+        assert_equivalent(indexes[1], regions[1], placements[1])
+        for idx in indexes:
+            idx.close()
+
     def test_close_detaches_listener(self, tiny_region, placement, catalog):
         index = HostStateIndex(tiny_region, placement)
         index.refresh()
@@ -171,6 +239,9 @@ _OPS = st.lists(
                 "node_mv",
                 "quarantine",
                 "readmit",
+                "maintain",
+                "unmaintain",
+                "add_node",
             ]
         ),
         st.integers(min_value=0, max_value=63),
@@ -187,8 +258,6 @@ _OPS = st.lists(
 @example(ops=[("node_vm", 0, 0), ("node_rm", 0, 0), ("node_vm", 0, 1)])
 def test_property_index_equivalent_after_random_ops(ops):
     """Randomised interleavings never desynchronise the index."""
-    from tests.conftest import build_tiny_region_spec
-    from repro.infrastructure.topology import build_region
 
     region = build_region(build_tiny_region_spec())
     placement = PlacementService()
@@ -237,6 +306,17 @@ def test_property_index_equivalent_after_random_ops(ops):
             nodes[a % len(nodes)].quarantined = True
         elif op == "readmit":
             nodes[a % len(nodes)].quarantined = False
+        elif op == "maintain":
+            nodes[a % len(nodes)].maintenance = True
+        elif op == "unmaintain":
+            nodes[a % len(nodes)].maintenance = False
+        elif op == "add_node":
+            # A member joins a block (possibly one whose other nodes are
+            # all down, re-enabling it); later ops may land VMs on it.
+            node = make_node(f"added-{i}")
+            node.failed = a % 3 == 0
+            bbs[b % len(bbs)].add_node(node)
+            nodes.append(node)
         elif op == "node_vm":
             # Node-level bookkeeping outside placement, across several
             # tenants so per-node tenant upkeep is exercised (simulations

@@ -100,7 +100,7 @@ def test_oracle_clean_run_agrees():
 
 
 def test_oracle_catches_injected_desync():
-    """Acceptance: an epoch-silent index desync yields structured
+    """Acceptance: a notification-silent index desync yields structured
     mismatches naming host, VM, and field."""
     result = run_oracle(TINY, 7, perturb=desync_index)
     assert not result.ok
