@@ -14,7 +14,7 @@ from repro.drs.balancer import DrsBalancer
 from repro.infrastructure.flavors import default_catalog
 from repro.infrastructure.topology import build_region, paper_region_spec
 from repro.infrastructure.vm import VM
-from repro.rebalancer import RebalanceDriver
+from repro.drs import RebalanceDriver
 from repro.scheduler.placement import PlacementService
 
 

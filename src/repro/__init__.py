@@ -8,7 +8,8 @@ A production-quality Python library rebuilding the paper's full system:
 - :mod:`repro.workloads` — demand patterns, application profiles, and
   lifetime models for the SAP workload mix;
 - :mod:`repro.scheduler` — the Nova filter/weigher scheduler and placement
-  service; :mod:`repro.drs` — the VMware DRS rebalancer;
+  service; :mod:`repro.drs` — the VMware DRS balancer and the §7 cross-BB
+  rebalancing loop, both on one imbalance objective;
 - :mod:`repro.simulation` — the discrete-event regional simulator;
 - :mod:`repro.datagen` — the calibrated synthetic regeneration of the
   public trace;

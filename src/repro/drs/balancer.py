@@ -1,11 +1,12 @@
 """The DRS balancing loop.
 
 DRS computes a cluster imbalance metric — the standard deviation of node
-load fractions — and greedily recommends VM migrations from the most to the
-least loaded node while (a) the imbalance exceeds the configured threshold,
-(b) each move improves imbalance by a minimum margin (migrations are costly,
-§3.2 "avoiding migration of heavy VMs"), and (c) capacity and affinity rules
-hold on the target.
+load fractions, defined in :mod:`repro.drs.imbalance` — and greedily
+recommends VM migrations from the most to the least loaded node while
+(a) the imbalance exceeds the configured threshold, (b) each move improves
+imbalance by a minimum margin (migrations are costly, §3.2 "avoiding
+migration of heavy VMs"), and (c) capacity and affinity rules hold on the
+target.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.drs import imbalance as objective
 from repro.drs.affinity import AffinityRules
 from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode
 from repro.infrastructure.vm import VM
@@ -54,6 +56,22 @@ class Migration:
     improvement: float
 
 
+def migrate(
+    vm_id: str, source: ComputeNode, target: ComputeNode, fault_model=None
+) -> bool:
+    """Live-migrate one VM; False (VM still on ``source``) when
+    ``fault_model`` (a :class:`repro.faults.MigrationFaultModel`) aborts
+    it mid-precopy."""
+    if fault_model is not None and not fault_model.attempt(
+        vm_id, source.node_id, target.node_id
+    ):
+        return False
+    vm = source.remove_vm(vm_id)
+    target.add_vm(vm)
+    vm.migrations += 1
+    return True
+
+
 @dataclass
 class DrsBalancer:
     """Balances one building block (vSphere cluster)."""
@@ -64,30 +82,16 @@ class DrsBalancer:
     def node_load_fractions(
         self, bb: BuildingBlock, load_fn: LoadFn = _allocated_load
     ) -> dict[str, float]:
-        """Per-node load as a fraction of physical cores.
-
-        Failed nodes are excluded: they carry no VMs and no usable
-        capacity, so counting their zero load would read as imbalance the
-        balancer can never fix (and must not "fix" by migrating onto them).
-        """
-        fractions: dict[str, float] = {}
-        for node in bb.iter_nodes():
-            if node.failed:
-                continue
-            load = sum(load_fn(vm) for vm in node.vms.values())
-            fractions[node.node_id] = (
-                load / node.physical.vcpus if node.physical.vcpus > 0 else 0.0
-            )
-        return fractions
+        """Per-node load as a fraction of physical cores (see
+        :func:`repro.drs.imbalance.load_fractions`)."""
+        return objective.load_fractions(bb.iter_nodes(), load_fn)
 
     def imbalance(
         self, bb: BuildingBlock, load_fn: LoadFn = _allocated_load
     ) -> float:
         """Cluster imbalance: std-dev of node load fractions."""
-        fractions = list(self.node_load_fractions(bb, load_fn).values())
-        if len(fractions) < 2:
-            return 0.0
-        return float(np.std(fractions))
+        fractions = self.node_load_fractions(bb, load_fn)
+        return objective.imbalance(list(fractions.values()))
 
     def run(
         self,
@@ -111,14 +115,9 @@ class DrsBalancer:
             if move is None:
                 break
             vm_id, source, target, load, improvement = move
-            if fault_model is not None and not fault_model.attempt(
-                vm_id, source.node_id, target.node_id
-            ):
+            if not migrate(vm_id, source, target, fault_model):
                 aborted.add(vm_id)
                 continue
-            vm = source.remove_vm(vm_id)
-            target.add_vm(vm)
-            vm.migrations += 1
             migrations.append(
                 Migration(
                     vm_id=vm_id,
@@ -145,10 +144,11 @@ class DrsBalancer:
         unhealthy targets (failed or draining nodes) are never considered.
 
         Each source VM's admissible targets are scored in one array op:
-        one row of node fractions per target, with the move applied, and
-        a row-wise ``np.std`` (bitwise equal to the std of each row on
-        its own).  Candidates are compared in target order with a strict
-        ``>``, so the first of equal improvements wins.
+        one row of node fractions per target, with the move applied
+        (:func:`~repro.drs.imbalance.moved_rows`), and one
+        :func:`~repro.drs.imbalance.row_imbalance`.  Candidates are
+        compared in target order with a strict ``>``, so the first of
+        equal improvements wins.
         """
         fractions = self.node_load_fractions(bb, load_fn)
         if len(fractions) < 2:
@@ -180,13 +180,11 @@ class DrsBalancer:
             ]
             if not admissible:
                 continue
-            rows = np.repeat(base[np.newaxis, :], len(admissible), axis=0)
-            rows[:, source_column] -= load / source.physical.vcpus
-            rows[
-                np.arange(len(admissible)),
-                [column[target.node_id] for target in admissible],
-            ] += [load / target.physical.vcpus for target in admissible]
-            after = np.std(rows, axis=1).tolist()
+            cols = [column[target.node_id] for target in admissible]
+            deltas = [load / target.physical.vcpus for target in admissible]
+            source_delta = load / source.physical.vcpus
+            rows = objective.moved_rows(base, source_column, source_delta, cols, deltas)
+            after = objective.row_imbalance(rows).tolist()
             for target, imbalance in zip(admissible, after):
                 improvement = current_imbalance - imbalance
                 if improvement < self.config.min_improvement:

@@ -1,0 +1,63 @@
+"""The one balancing objective: the spread of node load fractions.
+
+DRS balances a building block on it (§3.1); the migration planner and the
+rebalance driver balance across building blocks on it (§7).  A node's load
+fraction is its load over its physical cores; the imbalance is their
+population std.  Failed and zero-core nodes are left out: their zero load
+is no imbalance a migration could fix, and nothing may move onto them.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from repro.infrastructure.hierarchy import ComputeNode, Region
+from repro.infrastructure.vm import VM
+
+
+def balanced_nodes(nodes: Iterable[ComputeNode]) -> list[ComputeNode]:
+    """The nodes the objective is taken over, in their given order."""
+    return [node for node in nodes if not node.failed and node.physical.vcpus > 0]
+
+
+def general_purpose_nodes(region: Region, datacenter: str) -> list[ComputeNode]:
+    """The nodes of the DC's general-purpose BBs: the cross-BB node set."""
+    return [
+        node
+        for bb in region.iter_building_blocks()
+        if bb.datacenter == datacenter and not bb.aggregate_class
+        for node in bb.iter_nodes()
+    ]
+
+
+def load_fractions(
+    nodes: Iterable[ComputeNode], load_fn: Callable[[VM], float]
+) -> dict[str, float]:
+    """Each balanced node's summed VM load over its physical cores."""
+    return {
+        node.node_id: sum(load_fn(vm) for vm in node.vms.values()) / node.physical.vcpus
+        for node in balanced_nodes(nodes)
+    }
+
+
+def imbalance(values: Sequence[float]) -> float:
+    """Population std-dev of ``values``; 0.0 below two nodes."""
+    return float(np.std(values)) if len(values) > 1 else 0.0
+
+
+def moved_rows(base, source_col, source_delta, target_cols, target_deltas) -> np.ndarray:
+    """One copy of ``base`` per target: row ``i`` has ``source_delta`` taken
+    off ``source_col`` and ``target_deltas[i]`` (or the one scalar) added
+    to ``target_cols[i]``."""
+    rows = np.repeat(base[np.newaxis, :], len(target_cols), axis=0)
+    rows[:, source_col] -= source_delta
+    rows[np.arange(len(target_cols)), target_cols] += target_deltas
+    return rows
+
+
+def row_imbalance(rows: np.ndarray) -> np.ndarray:
+    """Each row's :func:`imbalance`, bitwise equal to ``np.std`` of the row
+    on its own (each row is one contiguous pairwise reduction)."""
+    return np.std(rows, axis=1)

@@ -1,15 +1,17 @@
-"""The two-layer rebalancing loop: DRS inside BBs, planner across them."""
+"""The two-layer rebalancing loop (§7): DRS inside BBs, planner across them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.drs.balancer import DrsBalancer, LoadFn, _allocated_load
+from repro.drs.balancer import DrsBalancer, LoadFn, _allocated_load, migrate
+from repro.drs.imbalance import general_purpose_nodes, imbalance, load_fractions
 from repro.infrastructure.hierarchy import Region
-from repro.migration.planner import MigrationPlanner
 from repro.scheduler.placement import AllocationError, PlacementService
+
+if TYPE_CHECKING:
+    from repro.migration.planner import MigrationPlanner
 
 
 @dataclass
@@ -55,33 +57,22 @@ class RebalanceDriver:
         """
         if recovery_move_cap < 0:
             raise ValueError("recovery_move_cap must be >= 0")
+        if planner is None:
+            # Not at module level: the planner imports repro.drs.imbalance.
+            from repro.migration.planner import MigrationPlanner
+
+            planner = MigrationPlanner()
         self.region = region
         self.placement = placement
         self.drs = drs or DrsBalancer()
-        self.planner = planner or MigrationPlanner()
+        self.planner = planner
         self.fault_model = fault_model
         self.recovery_move_cap = recovery_move_cap
-        self._node_bb = {
-            node.node_id: bb.bb_id
-            for bb in region.iter_building_blocks()
-            for node in bb.iter_nodes()
-        }
 
     def dc_imbalance(self, datacenter: str, load_fn: LoadFn = _allocated_load) -> float:
         """Std-dev of load fractions over the DC's general-purpose nodes."""
-        fractions = []
-        for bb in self.region.iter_building_blocks():
-            if bb.datacenter != datacenter or bb.aggregate_class:
-                continue
-            for node in bb.iter_nodes():
-                if node.failed:
-                    continue  # no usable capacity; not an imbalance signal
-                load = sum(load_fn(vm) for vm in node.vms.values())
-                if node.physical.vcpus > 0:
-                    fractions.append(load / node.physical.vcpus)
-        if len(fractions) < 2:
-            return 0.0
-        return float(np.std(fractions))
+        nodes = general_purpose_nodes(self.region, datacenter)
+        return imbalance(list(load_fractions(nodes, load_fn).values()))
 
     def run_pass(
         self, datacenter: str, load_fn: LoadFn = _allocated_load
@@ -152,6 +143,7 @@ class RebalanceDriver:
             total.intra_bb_migrations += report.intra_bb_migrations
             total.cross_bb_migrations += report.cross_bb_migrations
             total.skipped_moves += report.skipped_moves
+            total.aborted_moves += report.aborted_moves
             total.total_transfer_mb += report.total_transfer_mb
             total.history.extend(report.history)
             if report.improvement < min_improvement:
@@ -186,8 +178,7 @@ class RebalanceDriver:
             return False
         if not target.healthy:
             return False
-        source_bb = self._node_bb[source_id]
-        target_bb = self._node_bb[target_id]
+        source_bb, target_bb = source.building_block, target.building_block
         moved_claim = False
         if self.placement is not None and source_bb != target_bb:
             try:
@@ -195,14 +186,9 @@ class RebalanceDriver:
             except AllocationError:
                 return False
             moved_claim = True
-        if self.fault_model is not None and not self.fault_model.attempt(
-            vm_id, source_id, target_id
-        ):
+        if not migrate(vm_id, source, target, self.fault_model):
             # Abort mid-precopy: the source still runs the VM; undo the claim.
             if moved_claim:
                 self.placement.move(vm_id, source_bb)
             return False
-        vm = source.remove_vm(vm_id)
-        target.add_vm(vm)
-        vm.migrations += 1
         return True

@@ -14,6 +14,13 @@ from typing import Callable
 
 import numpy as np
 
+from repro.drs.imbalance import (
+    balanced_nodes,
+    general_purpose_nodes,
+    imbalance,
+    moved_rows,
+    row_imbalance,
+)
 from repro.infrastructure.capacity import GENERAL_OVERCOMMIT
 from repro.infrastructure.hierarchy import ComputeNode, Region
 from repro.infrastructure.vm import VM
@@ -84,35 +91,32 @@ class MigrationPlanner:
     ) -> MigrationPlan:
         """Plan moves across an arbitrary node set (intra- or inter-BB).
 
-        The balancing objective is the std-dev of load fractions (load
-        over physical cores), the same metric DRS uses, and as in DRS
-        failed nodes are left out of it: their zero load is not an
-        imbalance a move could fix.  A target must be healthy and fit the
-        VM under the general-purpose overcommit policy.
+        The balancing objective and node set are DRS's
+        (:mod:`repro.drs.imbalance`), scored in load space: each VM's
+        admissible targets in one array op over the node loads with the
+        move applied, then divided by capacities.  A target must be
+        healthy and fit the VM under the general-purpose overcommit policy.
         """
         plan = MigrationPlan()
-        nodes = [node for node in nodes if not node.failed]
+        nodes = balanced_nodes(nodes)
         if len(nodes) < 2:
             return plan
-        loads = {
-            node.node_id: sum(load_view(vm)[0] for vm in node.vms.values())
-            for node in nodes
-        }
-        capacities = {node.node_id: node.physical.vcpus for node in nodes}
-        by_id = {node.node_id: node for node in nodes}
-
-        def imbalance() -> float:
-            fractions = [
-                loads[n] / capacities[n] for n in loads if capacities[n] > 0
-            ]
-            return float(np.std(fractions)) if len(fractions) > 1 else 0.0
+        loads = np.array(
+            [sum(load_view(vm)[0] for vm in node.vms.values()) for node in nodes],
+            dtype=float,
+        )
+        capacities = np.array([node.physical.vcpus for node in nodes], dtype=float)
+        column = {node.node_id: i for i, node in enumerate(nodes)}
 
         moved: set[str] = set()
         for _ in range(self.max_moves):
-            current = imbalance()
+            fractions = loads / capacities
+            current = imbalance(fractions)
             best: PlannedMove | None = None
-            ordered = sorted(loads, key=lambda n: -loads[n] / max(capacities[n], 1e-9))
-            source = by_id[ordered[0]]
+            ordered = np.argsort(-fractions, kind="stable")
+            source = nodes[ordered[0]]
+            # Candidate targets: every other node, least loaded first.
+            targets = [nodes[i] for i in ordered[:0:-1]]
             for vm in source.vms.values():
                 if vm.vm_id in moved:
                     continue
@@ -123,22 +127,25 @@ class MigrationPlanner:
                     or estimate.downtime_seconds > self.downtime_budget_s
                 ):
                     continue  # §3.2: leave heavy VMs alone
-                for target_id in reversed(ordered[1:]):
-                    target = by_id[target_id]
-                    if not target.healthy or not target.fits(
-                        vm.requested(), GENERAL_OVERCOMMIT
-                    ):
-                        continue
-                    after = self._imbalance_after(
-                        loads, capacities, source.node_id, target_id, cpu_load
-                    )
-                    improvement = current - after
+                admissible = [
+                    target
+                    for target in targets
+                    if target.healthy
+                    and target.fits(vm.requested(), GENERAL_OVERCOMMIT)
+                ]
+                if not admissible:
+                    continue
+                cols = [column[target.node_id] for target in admissible]
+                rows = moved_rows(loads, column[source.node_id], cpu_load, cols, cpu_load)
+                after = row_imbalance(rows / capacities).tolist()
+                for target, imbalance_after in zip(admissible, after):
+                    improvement = current - imbalance_after
                     if improvement <= 0:
                         continue
                     candidate = PlannedMove(
                         vm_id=vm.vm_id,
                         source_node=source.node_id,
-                        target_node=target_id,
+                        target_node=target.node_id,
                         improvement=improvement,
                         estimate=estimate,
                     )
@@ -150,9 +157,9 @@ class MigrationPlanner:
                 break
             plan.moves.append(best)
             moved.add(best.vm_id)
-            cpu_load, _ = load_view(by_id[best.source_node].vms[best.vm_id])
-            loads[best.source_node] -= cpu_load
-            loads[best.target_node] += cpu_load
+            cpu_load, _ = load_view(source.vms[best.vm_id])
+            loads[column[best.source_node]] -= cpu_load
+            loads[column[best.target_node]] += cpu_load
         return plan
 
     def plan_cross_bb(
@@ -165,19 +172,6 @@ class MigrationPlanner:
 
         Cross-DC moves are out of scope, as in the paper.
         """
-        nodes: list[ComputeNode] = []
-        for bb in region.iter_building_blocks():
-            if bb.datacenter != datacenter or bb.aggregate_class:
-                continue
-            nodes.extend(bb.iter_nodes())
-        return self.plan_for_nodes(nodes, load_view=load_view)
-
-    @staticmethod
-    def _imbalance_after(loads, capacities, source, target, cpu_load) -> float:
-        updated = dict(loads)
-        updated[source] -= cpu_load
-        updated[target] += cpu_load
-        fractions = [
-            updated[n] / capacities[n] for n in updated if capacities[n] > 0
-        ]
-        return float(np.std(fractions)) if len(fractions) > 1 else 0.0
+        return self.plan_for_nodes(
+            general_purpose_nodes(region, datacenter), load_view=load_view
+        )

@@ -4,8 +4,8 @@ Historically :class:`~repro.scheduler.pipeline.FilterScheduler` grew one
 keyword argument per knob (filters, weighers, max_attempts, alternates)
 and callers wired policy selection by hand via ``weighers_for_flavor``.
 :class:`SchedulerConfig` collapses that surface into one value object that
-every entry point (simulation runner, fault scenarios, rebalancer,
-benchmarks, examples) passes to ``FilterScheduler(region, placement,
+every entry point (simulation runner, scenario specs, verify and recovery
+harnesses, benchmarks, examples) passes to ``FilterScheduler(region, placement,
 config)``.
 """
 

@@ -1,4 +1,6 @@
-"""Property-based tests for the DRS balancer."""
+"""Property-based tests for the DRS balancer and the migration planner."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.drs.affinity import AffinityRules
 from repro.drs.balancer import DrsBalancer, DrsConfig
-from repro.infrastructure.capacity import OvercommitPolicy
+from repro.infrastructure.capacity import GENERAL_OVERCOMMIT, OvercommitPolicy
 from repro.infrastructure.flavors import Flavor
 from repro.infrastructure.hierarchy import BuildingBlock
 from repro.infrastructure.vm import VM
+from repro.migration.planner import MigrationPlan, MigrationPlanner, PlannedMove
 from tests.conftest import make_bb, make_node
 
 _vm_sizes = st.lists(
@@ -228,4 +231,118 @@ def test_property_drs_run_matches_reference_scoring(spec):
         load_fn, rng = _noisy_load_fn(spec)
         moves = balancer_cls(config=config, rules=rules).run(bb, load_fn)
         results.append((moves, rng.random()))
+    assert results[0] == results[1]
+
+
+# -- the planner's shared-kernel scoring against its per-pair reference ---------
+
+
+def _reference_plan(planner, nodes, load_view):
+    """``MigrationPlanner.plan_for_nodes`` before it shared the DRS kernel:
+    node loads in a dict, and one copied dict and one ``np.std`` per
+    (VM, target) pair."""
+
+    def imbalance_after(loads, capacities, source, target, cpu_load):
+        updated = dict(loads)
+        updated[source] -= cpu_load
+        updated[target] += cpu_load
+        fractions = [updated[n] / capacities[n] for n in updated if capacities[n] > 0]
+        return float(np.std(fractions)) if len(fractions) > 1 else 0.0
+
+    plan = MigrationPlan()
+    nodes = [node for node in nodes if not node.failed]
+    if len(nodes) < 2:
+        return plan
+    loads = {
+        node.node_id: sum(load_view(vm)[0] for vm in node.vms.values())
+        for node in nodes
+    }
+    capacities = {node.node_id: node.physical.vcpus for node in nodes}
+    by_id = {node.node_id: node for node in nodes}
+
+    def imbalance():
+        fractions = [loads[n] / capacities[n] for n in loads if capacities[n] > 0]
+        return float(np.std(fractions)) if len(fractions) > 1 else 0.0
+
+    moved = set()
+    for _ in range(planner.max_moves):
+        current = imbalance()
+        best = None
+        ordered = sorted(loads, key=lambda n: -loads[n] / max(capacities[n], 1e-9))
+        source = by_id[ordered[0]]
+        for vm in source.vms.values():
+            if vm.vm_id in moved:
+                continue
+            cpu_load, mem_ratio = load_view(vm)
+            estimate = planner.precopy.estimate_for_vm(vm.flavor, mem_ratio)
+            if (
+                not estimate.converged
+                or estimate.downtime_seconds > planner.downtime_budget_s
+            ):
+                continue
+            for target_id in reversed(ordered[1:]):
+                target = by_id[target_id]
+                if not target.healthy or not target.fits(
+                    vm.requested(), GENERAL_OVERCOMMIT
+                ):
+                    continue
+                after = imbalance_after(
+                    loads, capacities, source.node_id, target_id, cpu_load
+                )
+                improvement = current - after
+                if improvement <= 0:
+                    continue
+                candidate = PlannedMove(
+                    vm_id=vm.vm_id,
+                    source_node=source.node_id,
+                    target_node=target_id,
+                    improvement=improvement,
+                    estimate=estimate,
+                )
+                if candidate.benefit_per_second < planner.min_benefit_per_second:
+                    continue
+                if best is None or candidate.improvement > best.improvement:
+                    best = candidate
+        if best is None:
+            break
+        plan.moves.append(best)
+        moved.add(best.vm_id)
+        cpu_load, _ = load_view(by_id[best.source_node].vms[best.vm_id])
+        loads[best.source_node] -= cpu_load
+        loads[best.target_node] += cpu_load
+    return plan
+
+
+_planner_knobs = st.fixed_dictionaries(
+    {
+        "min_benefit_per_second": st.sampled_from((0.0, 1e-5, 1e-4, 1e-3)),
+        "downtime_budget_s": st.sampled_from((0.05, 0.5, 2.0)),
+        "max_moves": st.integers(min_value=1, max_value=8),
+    }
+)
+
+
+def _noisy_load_view(spec):
+    """Noisy cores and a random memory-dirtying ratio, both drawn per call
+    from a private stream (see ``_noisy_load_fn``)."""
+    load_fn, rng = _noisy_load_fn(spec)
+
+    def load_view(vm):
+        return load_fn(vm), float(rng.uniform(0.05, 0.95))
+
+    return load_view, rng
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_cluster, knobs=_planner_knobs)
+def test_property_planner_bitwise_equals_per_pair_reference(spec, knobs):
+    """The shared-kernel planner returns the very plan the per-pair one
+    did: every ``PlannedMove`` equal field for field (``improvement``
+    bits included), with the same load-view calls in the same order."""
+    results = []
+    for plan_for_nodes in (_reference_plan, MigrationPlanner.plan_for_nodes):
+        bb, _, _, _ = _build_cluster(spec)
+        load_view, rng = _noisy_load_view(spec)
+        plan = plan_for_nodes(MigrationPlanner(**knobs), list(bb.iter_nodes()), load_view)
+        results.append(([dataclasses.astuple(m) for m in plan.moves], rng.random()))
     assert results[0] == results[1]

@@ -13,7 +13,7 @@ from repro.infrastructure.topology import (
     build_region,
 )
 from repro.infrastructure.vm import VM, VMState
-from repro.rebalancer.driver import RebalanceDriver
+from repro.drs.rebalance import RebalanceDriver
 from repro.scheduler.placement import VCPU, PlacementService
 from repro.simulation.runner import RegionSimulation, SimulationConfig
 from tests.conftest import make_bb

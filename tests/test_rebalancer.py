@@ -6,7 +6,7 @@ from repro.infrastructure.flavors import Flavor
 from repro.infrastructure.topology import build_region
 from repro.infrastructure.vm import VM
 from repro.migration.planner import MigrationPlanner
-from repro.rebalancer import RebalanceDriver
+from repro.drs import RebalanceDriver
 from repro.scheduler.placement import MEMORY_MB, VCPU, PlacementService
 from tests.conftest import build_tiny_region_spec
 
