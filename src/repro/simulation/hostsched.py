@@ -40,9 +40,13 @@ class NodeWindowUsage:
 class HostCpuModel:
     """Maps vCPU demand to delivered CPU, ready time, and contention."""
 
-    def __init__(self, physical_cores: float, efficiency: float = 1.0) -> None:
-        """``efficiency`` discounts usable cores (hypervisor overhead)."""
-        if physical_cores <= 0:
+    def __init__(self, physical_cores, efficiency: float = 1.0) -> None:
+        """``efficiency`` discounts usable cores (hypervisor overhead).
+
+        ``physical_cores`` is one node's core count, or an array of them:
+        :meth:`resolve_series` then resolves one window per node.
+        """
+        if np.any(np.asarray(physical_cores) <= 0):
             raise ValueError("physical_cores must be positive")
         if not 0.0 < efficiency <= 1.0:
             raise ValueError("efficiency must be within (0, 1]")
@@ -70,7 +74,8 @@ class HostCpuModel:
     def resolve_series(
         self, demand_cores: np.ndarray, window_seconds: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`resolve_window` over a demand array.
+        """Vectorised :meth:`resolve_window` over a demand array, equal to
+        it element for element, bit for bit.
 
         Returns ``(cpu_used_fraction, cpu_ready_ms, contention_fraction)``.
         """

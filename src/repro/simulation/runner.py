@@ -14,6 +14,8 @@ telemetry of the figure benchmarks comes from the faster vectorised
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -75,7 +77,10 @@ from repro.telemetry.timeseries import STALE
 from repro.workloads.demand import DemandModel, VMDemand
 from repro.workloads.lifetime import sample_lifetime
 from repro.workloads.profiles import profile_for_flavor
-from repro.workloads.waveform import CompiledDemand, compile_demand
+from repro.workloads.waveform import DemandTable, compile_demand
+
+#: Share of a node's physical cores its VMs can use (hypervisor overhead).
+HOST_CPU_EFFICIENCY = 0.97
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,40 @@ class SimulationConfig:
     resilience: ResilienceConfig | None = None
 
     def __post_init__(self) -> None:
-        # A zero interval would schedule its recurring event forever.
-        for name in ("duration_days", "scrape_interval_s", "drs_interval_s"):
+        # A zero interval would schedule its recurring event forever, and an
+        # infinite one (or rate) would never stop scheduling.
+        for name in (
+            "duration_days",
+            "scrape_interval_s",
+            "drs_interval_s",
+            "maintenance_duration_s",
+        ):
             value = getattr(self, name)
             if value is None and name == "drs_interval_s":
                 continue
             if not value > 0:
                 raise ValueError(f"SimulationConfig.{name} must be > 0, got {value!r}")
+            _require_finite(name, value)
+        for name in (
+            "arrival_rate_per_hour",
+            "resize_rate_per_hour",
+            "maintenance_rate_per_day",
+        ):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"SimulationConfig.{name} must be >= 0, got {value!r}")
+            _require_finite(name, value)
+        _require_finite("start_time", self.start_time)
+        vms = self.initial_vms
+        if not isinstance(vms, numbers.Integral) or isinstance(vms, bool) or vms < 0:
+            raise ValueError(
+                f"SimulationConfig.initial_vms must be an int >= 0, got {vms!r}"
+            )
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"SimulationConfig.{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -291,12 +323,12 @@ class RegionSimulation:
         #: created.
         self._live = LiveVMIndex()
         self.demands: dict[str, VMDemand] = {}
-        #: Per-VM compiled waveform evaluators (scrape and DRS load).
-        #: Entries are validated by demand-object identity on every use and
-        #: recompiled on mismatch, so create/resize (which swap the
-        #: VMDemand) can never be served a stale waveform; ``drop_demand``
-        #: removes the entry with the demand.
-        self._compiled: dict[str, CompiledDemand] = {}
+        #: Per-VM compiled waveform evaluators and their batch rows (scrape
+        #: and DRS load).  Entries are validated by demand-object identity
+        #: on every use and recompiled on mismatch, so create/resize (which
+        #: swap the VMDemand) can never be served a stale waveform; resize
+        #: and ``drop_demand`` free the entry's slot.
+        self._compiled = DemandTable(self.rng)
         self._stale_usage = NodeUsage(
             cpu_used_fraction=STALE,
             memory_used_fraction=STALE,
@@ -320,10 +352,18 @@ class RegionSimulation:
         self._bb_index: dict[str, BuildingBlock] = {
             bb.bb_id: bb for bb in self.region.iter_building_blocks()
         }
-        self._cpu_models: dict[str, HostCpuModel] = {
-            n.node_id: HostCpuModel(n.physical.vcpus, efficiency=0.97)
-            for n in self.region.iter_nodes()
-        }
+        # The scrape tick's per-node vectors, in ``_node_index`` order.
+        self._nodes = list(self._node_index.values())
+        self._host_cpu = HostCpuModel(
+            np.asarray([n.physical.vcpus for n in self._nodes], dtype=float),
+            efficiency=HOST_CPU_EFFICIENCY,
+        )
+        self._node_memory_mb = np.asarray(
+            [n.physical.memory_mb for n in self._nodes], dtype=float
+        )
+        self._node_disk_gb = np.asarray(
+            [n.physical.disk_gb for n in self._nodes], dtype=float
+        )
         # The arrival flavor mix over this catalog, fixed at construction.
         mix = [(n, w) for n, w in FLAVOR_MIX if w > 0 and n in self.catalog]
         self._mix_flavors = [self.catalog.get(n) for n, _ in mix]
@@ -698,83 +738,96 @@ class RegionSimulation:
     def _handle_scrape(self, engine: SimulationEngine, event) -> None:
         """One scrape tick: every live node's vROps samples plus Nova's.
 
-        Demand is evaluated as scalars by the compiled waveforms and the
+        The tick gathers its VMs in node order, then residency order, and
+        reads their demand in one :meth:`DemandTable.evaluate` batch,
+        which equals the compiled waveforms' scalar reads in that order,
+        shared-RNG draws included.  Each node's five channels are summed
+        as a left fold from 0.0 (``np.cumsum`` along a zero-padded row is
+        sequential, unlike ``np.sum``), the node CPU windows come from one
+        :meth:`HostCpuModel.resolve_series` over the node vector, and the
         values go straight into the store's column buffers through
-        interned series handles, with zero per-sample objects.  The
-        compiled evaluators reproduce ``VMDemand.evaluate``'s float
-        operations and RNG consumption bit for bit, so this is
-        byte-identical to the per-sample reference scrape in
-        :mod:`repro.verify.reference` (same fault-draw order, same skip
-        logic, same arithmetic).
+        interned series handles.  The result is byte-identical to the
+        per-sample reference scrape in :mod:`repro.verify.reference`
+        (same fault-draw order, same skip logic, same arithmetic).
         """
         if self.telemetry_faults is not None and self.telemetry_faults.scrape_missed():
             return  # whole cycle lost: an honest hole in every series
         now = engine.now
-        store = self.store
-        vrops = self.vrops
         demands = self.demands
-        compiled = self._compiled
-        interval = self.config.scrape_interval_s
-        for node in self._node_index.values():
+        table = self._compiled
+        compiled = table.get
+        slot_of = table.slots
+        partition = self.partition
+        telemetry_faults = self.telemetry_faults
+        scraped = []  # (node, position in self._nodes, or -1 when stale)
+        live = []  # positions of the nodes read live
+        counts = []  # their VMs with a demand
+        slots = []
+        for p, node in enumerate(self._nodes):
             if node.failed:
                 continue  # dead host, dead exporter: no samples at all
-            if self.partition is not None and self.partition.is_blackholed(
-                node.node_id
-            ):
+            if partition is not None and partition.is_blackholed(node.node_id):
                 continue  # exporter unreachable: the domain's series freeze
-            if self.telemetry_faults is not None and self.telemetry_faults.node_is_stale(
+            if telemetry_faults is not None and telemetry_faults.node_is_stale(
                 node.node_id
             ):
                 # Exporter answered with stale data: same timestamps,
                 # every value a staleness marker.
-                vrops.emit_node(store, node, self._stale_usage, now)
+                scraped.append((node, -1))
                 continue
-            cpu_demand = 0.0
-            mem_mb = 0.0
-            tx = rx = 0.0
-            disk = 0.0
+            scraped.append((node, p))
+            first = len(slots)
             for vm in node.vms.values():
-                demand = demands.get(vm.vm_id)
+                vm_id = vm.vm_id
+                demand = demands.get(vm_id)
                 if demand is None:
                     continue
-                cd = compiled.get(vm.vm_id)
+                cd = compiled(vm_id)
                 if cd is None or cd.demand is not demand:
-                    cd = compiled[vm.vm_id] = compile_demand(demand)
-                cpu_c, mem_c, tx_c, rx_c, disk_c = cd.evaluate(now)
-                cpu_demand += cpu_c
-                mem_mb += mem_c
-                tx += tx_c
-                rx += rx_c
-                disk += disk_c
-            usage_window = self._cpu_models[node.node_id].resolve_window(
-                cpu_demand, interval
-            )
-            usage = NodeUsage(
-                cpu_used_fraction=min(1.0, usage_window.cpu_used_fraction + 0.02),
-                memory_used_fraction=min(
-                    1.0, mem_mb / node.physical.memory_mb + 0.04
-                ),
-                network_tx_kbps=tx,
-                network_rx_kbps=rx,
-                disk_used_gb=min(disk, node.physical.disk_gb),
-                cpu_ready_ms=usage_window.cpu_ready_ms,
-                cpu_contention_fraction=usage_window.cpu_contention_fraction,
-            )
+                    slots.append(table.put(vm_id, compile_demand(demand)))
+                else:
+                    slots.append(slot_of[vm_id])
+            live.append(p)
+            counts.append(len(slots) - first)
+
+        sums = np.zeros((5, len(self._nodes)))
+        if slots:
+            sums[:, live] = _fold_groups(table.evaluate(slots, now), counts)
+        cpu_demand, mem_mb, tx, rx, disk = sums
+        used, ready_ms, contention = self._host_cpu.resolve_series(
+            cpu_demand, self.config.scrape_interval_s
+        )
+        # ``np.where`` mirrors ``min(a, b)`` exactly: b only when b < a.
+        cpu = used + 0.02
+        cpu = np.where(cpu < 1.0, cpu, 1.0)
+        mem = mem_mb / self._node_memory_mb + 0.04
+        mem = np.where(mem < 1.0, mem, 1.0)
+        disk = np.where(self._node_disk_gb < disk, self._node_disk_gb, disk)
+        columns = [a.tolist() for a in (cpu, mem, tx, rx, disk, ready_ms, contention)]
+        store = self.store
+        vrops = self.vrops
+        for node, p in scraped:
+            if p < 0:
+                vrops.emit_node(store, node, self._stale_usage, now)
+                continue
+            usage = NodeUsage(*[column[p] for column in columns])
             vrops.emit_node(store, node, usage, now)
         self.nova_exporter.emit_region(store, self.region, now)
 
     def _handle_drs(self, engine: SimulationEngine, event) -> None:
         now = engine.now
         demands = self.demands
-        compiled = self._compiled
+        table = self._compiled
+        compiled = table.get
 
         def load_fn(vm: VM) -> float:
             demand = demands.get(vm.vm_id)
             if demand is None:
                 return float(vm.flavor.vcpus)
-            cd = compiled.get(vm.vm_id)
+            cd = compiled(vm.vm_id)
             if cd is None or cd.demand is not demand:
-                cd = compiled[vm.vm_id] = compile_demand(demand)
+                cd = compile_demand(demand)
+                table.put(vm.vm_id, cd)
             return cd.evaluate(now)[0]
 
         for bb in self._bb_index.values():
@@ -787,3 +840,22 @@ class RegionSimulation:
 
     def _pick_flavor(self):
         return self._mix_flavors[draw(self._mix_cdf, self.rng)]
+
+
+def _fold_groups(values: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Per-group sums of ``values``' columns, grouped by ``counts`` runs.
+
+    Each group's sum is the left fold ``((0.0 + v0) + v1) + ...`` a ``+=``
+    loop gives: the columns go into a zero-padded (groups x (max+1))
+    matrix per row of ``values``, whose sequential ``np.cumsum`` ends in
+    the fold.  ``np.sum`` and ``np.add.reduceat`` sum pairwise and would
+    change the bits.
+    """
+    sizes = np.asarray(counts)
+    groups = len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    group = np.repeat(np.arange(groups), sizes)
+    column = np.arange(values.shape[1]) - np.repeat(starts, sizes) + 1
+    padded = np.zeros((values.shape[0], groups, int(sizes.max()) + 1))
+    padded[:, group, column] = values
+    return np.cumsum(padded, axis=2)[:, :, -1]

@@ -233,12 +233,18 @@ class NovaExporter:
         total_vms = 0
         n = 1
         for bb, alloc_vcpus, alloc_mem, h_v, h_vu, h_m, h_mu in self._bb_entries:
-            allocated = bb.allocated()
-            total_vms += bb.vm_count
+            # bb.allocated() and bb.vm_count, folded from the node memos
+            # in the same order without building a Capacity per node.
+            used_vcpus = used_mem = 0.0
+            for node in bb.nodes.values():
+                used = node.allocated()
+                used_vcpus += used.vcpus
+                used_mem += used.memory_mb
+                total_vms += len(node.vms)
             h_v.append(timestamp, alloc_vcpus)
-            h_vu.append(timestamp, allocated.vcpus)
+            h_vu.append(timestamp, used_vcpus)
             h_m.append(timestamp, alloc_mem)
-            h_mu.append(timestamp, allocated.memory_mb)
+            h_mu.append(timestamp, used_mem)
             n += 4
         self._total_handle.append(timestamp, float(total_vms))
         return n

@@ -23,12 +23,26 @@ import numpy as np
 from repro.faults.scenario import ScenarioConfig, scenario_sim_config, scenario_topology
 from repro.infrastructure.vm import VM
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.runner import RegionSimulation, SimulationResult
+from repro.simulation.hostsched import HostCpuModel
+from repro.simulation.runner import (
+    HOST_CPU_EFFICIENCY,
+    RegionSimulation,
+    SimulationResult,
+)
 from repro.telemetry.exporters import NodeUsage
 
 
 class ReferenceSimulation(RegionSimulation):
     """The simulator with per-sample scrapes and a numpy DRS load."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # One scalar CPU model per node: the simulator resolves the whole
+        # node vector in one array call instead.
+        self._cpu_models = {
+            n.node_id: HostCpuModel(n.physical.vcpus, efficiency=HOST_CPU_EFFICIENCY)
+            for n in self.region.iter_nodes()
+        }
 
     def _handle_scrape(self, engine: SimulationEngine, event) -> None:
         if self.telemetry_faults is not None and self.telemetry_faults.scrape_missed():

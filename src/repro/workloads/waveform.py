@@ -1,4 +1,4 @@
-"""Scalar fast-path evaluation of per-VM demand waveforms.
+"""Per-VM demand waveforms, read one VM at a time or one scrape tick at once.
 
 The simulation reads every VM's demand at a single timestamp: once per
 900 s scrape tick, and again for every DRS ``load_fn`` call at the pass's
@@ -38,11 +38,30 @@ two clip branches.  The branches match ``np.clip`` bitwise, including the
 ``-0.0`` corner (np.clip keeps it).  A nested ``noise``, which no profile
 builds, takes the one-element fallback.  Bases and noise run on every
 read, so the count and order of shared-RNG draws are exactly those of the
-numpy path.
+numpy path.  The DRS ``load_fn`` reads demand this way, one VM at a time.
+
+The scrape tick reads every resident VM at once through a
+:class:`DemandTable`.  :meth:`CompiledDemand.row` reads the same
+``basis`` metadata as the scalar closures and gives a parameter *row* for
+the four base shapes the profiles build (constant or ramp, diurnal ×
+weekly, bursty, max(constant, spike)), each under a top-level noise; the
+table keeps one row per VM in numpy columns and
+:meth:`DemandTable.evaluate` computes a whole tick's bases, noise, clips
+and scaling as array ops.  Its shared-RNG draws keep the scalar stream
+order: each maximal run of Gaussians is one ``standard_normal`` call,
+scaled as ``0.0 + sigma * gauss`` (which is what ``rng.normal(0.0,
+sigma)`` computes, draw for draw), a bursty channel's uniform breaks the
+run, and a VM without a row (*opaque*: any other shape, a channel
+without noise or on another generator, a hand-written stand-in) breaks
+it by calling its own ``evaluate(t)`` in place.  Array ``np.exp`` and
+``np.remainder`` equal the scalar ``np.exp`` and Python ``%`` bit for
+bit; ``tests/test_demand_batch.py`` guards these numpy facts by name, and
+that the batch equals the sequence of scalar reads.
 
 Invalidation is by identity: the simulation keeps one ``CompiledDemand``
-per VM and recompiles whenever the registered :class:`VMDemand` object is
-replaced (create, resize) and drops the entry when the VM leaves.
+per VM in its table and recompiles whenever the registered
+:class:`VMDemand` object is replaced (create, resize); resize and the
+VM's departure free its slot for the next VM.
 """
 
 from __future__ import annotations
@@ -58,6 +77,12 @@ from repro.workloads.patterns import SECONDS_PER_DAY
 _DAY = float(SECONDS_PER_DAY)
 
 ScalarPattern = Callable[[float], float]
+
+
+def _is_weekend(t: float) -> bool:
+    """The weekly pattern's day test: epoch day 0 was a Thursday."""
+    return (int(math.floor(t / _DAY)) + 3) % 7 >= 5  # 0 = Monday
+
 
 def _fallback(pattern) -> ScalarPattern:
     """Call the vectorised closure with a one-element grid (always exact)."""
@@ -90,8 +115,7 @@ def compile_pattern(pattern) -> ScalarPattern:
         weekend_scale = float(basis[2])
 
         def weekly_fn(t: float) -> float:
-            day_index = (int(math.floor(t / _DAY)) + 3) % 7  # 0 = Monday
-            return weekend_scale if day_index >= 5 else weekday_scale
+            return weekend_scale if _is_weekend(t) else weekday_scale
 
         return weekly_fn
 
@@ -178,19 +202,74 @@ def compile_pattern(pattern) -> ScalarPattern:
     return _fallback(pattern)
 
 
-def _split_noise(pattern) -> tuple[object, float, Callable | None]:
-    """``(base, sigma, normal)`` for one demand channel.
+def _split_noise(pattern) -> tuple[object, float, np.random.Generator | None]:
+    """``(base, sigma, rng)`` for one demand channel.
 
     A top-level ``noise`` pattern splits into its inner pattern and the
-    bound ``rng.normal`` that perturbs it; any other pattern is its own
-    base with no noise (``normal`` is None).
+    generator whose ``normal`` perturbs it; any other pattern is its own
+    base with no noise (``rng`` is None).
     """
     basis = getattr(pattern, "basis", None)
     inner = getattr(pattern, "inner", None)
     rng = getattr(pattern, "rng", None)
     if basis is not None and basis[0] == "noise" and inner is not None and rng is not None:
-        return inner, pattern.sigma, rng.normal
+        return inner, pattern.sigma, rng
     return pattern, 0.0, None
+
+
+# -- batch rows ---------------------------------------------------------------
+
+#: The base shapes a row holds, and the kind of a VM without a row.
+_CONST, _DIURNAL, _BURSTY, _SPIKE, _OPAQUE = 0.0, 1.0, 2.0, 3.0, -1.0
+#: Row layout: (vcpus, ram_mb, net_rate, disk_gb), then one block of
+#: (kind, sigma, six shape parameters) for cpu and one for memory.
+_CPU = 4
+_MEM = _CPU + 8
+_WIDTH = _MEM + 8
+
+
+def _kind(pattern) -> str | None:
+    basis = getattr(pattern, "basis", None)
+    return basis[0] if basis else None
+
+
+def _shape_row(base) -> tuple[float, tuple, object] | None:
+    """``(kind, params, rng)`` of a base shape a row can hold, else None.
+
+    ``rng`` is the generator the shape itself draws from (bursty only).
+    Parameters: constant/ramp ``(level,)``; diurnal × weekly ``(base,
+    swing, peak_hour, width_hours, weekday_scale, weekend_scale)``; bursty
+    ``(base, burst_level, burst_probability)``; max(constant, spike)
+    ``(level, base, spike_level, period, spike_width, phase)``.
+    """
+    kind = _kind(base)
+    if kind in ("constant", "ramp"):
+        return _CONST, (float(base.basis[1]),), None
+    if kind == "bursty" and getattr(base, "rng", None) is not None:
+        return _BURSTY, tuple(float(x) for x in base.basis[1:4]), base.rng
+    if kind == "composite":
+        children = getattr(base, "children", ())
+        kinds = tuple(_kind(c) for c in children)
+        if base.basis[1] == "product" and kinds == ("diurnal", "weekly"):
+            low, peak, peak_hour, width_hours = (float(x) for x in children[0].basis[1:])
+            weekday, weekend = (float(x) for x in children[1].basis[1:])
+            params = (low, peak - low, peak_hour, width_hours, weekday, weekend)
+            return _DIURNAL, params, None
+        if base.basis[1] == "max" and kinds == ("constant", "spike"):
+            params = (children[0].basis[1], *children[1].basis[1:])
+            return _SPIKE, tuple(float(x) for x in params), None
+    return None
+
+
+def _channel_row(pattern, rng) -> tuple | None:
+    """One channel's ``(kind, sigma, *params)`` block when it is a row
+    shape under a top-level noise, all drawing from ``rng``; else None."""
+    base, sigma, noise_rng = _split_noise(pattern)
+    shape = _shape_row(base) if noise_rng is rng else None
+    if shape is None or shape[2] is not None and shape[2] is not rng:
+        return None
+    kind, params, _ = shape
+    return (kind, float(sigma), *params, *(0.0,) * (6 - len(params)))
 
 
 class CompiledDemand:
@@ -201,6 +280,8 @@ class CompiledDemand:
     corresponding columns of ``demand.evaluate(np.asarray([t]))`` and
     consuming the shared RNG stream in the same order (cpu base draws,
     cpu noise, mem base draws, mem noise).
+
+    :meth:`row` gives the VM's :class:`DemandTable` row.
     """
 
     __slots__ = (
@@ -219,10 +300,12 @@ class CompiledDemand:
 
     def __init__(self, demand: VMDemand) -> None:
         self.demand = demand
-        cpu_base, self._cpu_sigma, self._cpu_normal = _split_noise(demand.cpu_pattern)
+        cpu_base, self._cpu_sigma, cpu_rng = _split_noise(demand.cpu_pattern)
         self._cpu_base = compile_pattern(cpu_base)
-        mem_base, self._mem_sigma, self._mem_normal = _split_noise(demand.mem_pattern)
+        self._cpu_normal = cpu_rng.normal if cpu_rng is not None else None
+        mem_base, self._mem_sigma, mem_rng = _split_noise(demand.mem_pattern)
         self._mem_base = compile_pattern(mem_base)
+        self._mem_normal = mem_rng.normal if mem_rng is not None else None
         self._vcpus = demand.flavor.vcpus
         self._ram_mb = demand.flavor.ram_mb
         # Same association order as VMDemand.evaluate's product.
@@ -232,6 +315,20 @@ class CompiledDemand:
             * demand.flavor.vcpus
         )
         self._disk_gb = demand.disk_used_fraction * demand.flavor.disk_gb
+
+    def row(self, rng: np.random.Generator) -> tuple | None:
+        """This VM's :class:`DemandTable` row, read from the same
+        ``basis`` metadata as the scalar closures, or None (*opaque*)
+        unless both channels are row shapes drawing only from ``rng``.
+
+        Built on request rather than kept, so a compiled VM costs no more
+        memory than its row in the table.
+        """
+        cpu = _channel_row(self.demand.cpu_pattern, rng)
+        mem = _channel_row(self.demand.mem_pattern, rng)
+        if cpu is None or mem is None:
+            return None
+        return (self._vcpus, self._ram_mb, self._net_rate, self._disk_gb, *cpu, *mem)
 
     def evaluate(self, t: float) -> tuple[float, float, float, float, float]:
         cpu = self._cpu_base(t)
@@ -261,3 +358,161 @@ class CompiledDemand:
 def compile_demand(demand: VMDemand) -> CompiledDemand:
     """Compile one VM's demand model for scalar single-timestamp evaluation."""
     return CompiledDemand(demand)
+
+
+def _channel_values(block, noise, uniforms, t: float, hour: float, weekend: bool):
+    """One channel's clipped ratios for a tick's rows: the scalar base
+    functions and clip branches above, as array ops."""
+    kind = block[:, 0]
+    p = block[:, 2:]
+    base = p[:, 0].copy()  # constant and ramp: the level
+    sel = np.flatnonzero(kind == _DIURNAL)
+    if sel.size:
+        q = p[sel]
+        a = np.abs(hour - q[:, 2])
+        z = np.minimum(a, 24.0 - a) / q[:, 3]
+        bump = np.exp(-0.5 * (z * z))
+        base[sel] = (q[:, 0] + q[:, 1] * bump) * q[:, 5 if weekend else 4]
+    sel = np.flatnonzero(kind == _BURSTY)
+    if sel.size:
+        q = p[sel]
+        base[sel] = np.where(uniforms[sel] < q[:, 2], q[:, 1], q[:, 0])
+    sel = np.flatnonzero(kind == _SPIKE)
+    if sel.size:
+        q = p[sel]
+        in_spike = np.remainder(t + q[:, 5], q[:, 3]) < q[:, 4]
+        spike = np.where(in_spike, q[:, 2], q[:, 1])
+        base[sel] = np.where(spike > q[:, 0], spike, q[:, 0])
+    x = base + noise
+    x = np.where(x < 0.0, 0.0, x)
+    return np.where(x > 1.0, 1.0, x)
+
+
+class DemandTable:
+    """Every compiled VM's evaluator, and its row in one numpy table.
+
+    A registry ``vm_id -> compiled`` (``get``, ``in``, iteration, ``pop``)
+    that also gives each VM a *slot*, a row of :attr:`rows`; a popped
+    VM's slot goes to a free list for the next VM.  A compiled object with
+    no ``row`` for the table's generator is *opaque*: :meth:`evaluate`
+    calls its own ``evaluate``.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self._compiled: dict[str, object] = {}
+        #: vm_id -> slot.
+        self.slots: dict[str, int] = {}
+        self._by_slot: list = []  # slot -> compiled object, None when free
+        self._free: list[int] = []
+        self.rows = np.zeros((64, _WIDTH))
+        self.get = self._compiled.get
+
+    def __contains__(self, vm_id) -> bool:
+        return vm_id in self._compiled
+
+    def __iter__(self):
+        return iter(self._compiled)
+
+    def __len__(self) -> int:
+        return len(self._compiled)
+
+    def put(self, vm_id: str, compiled) -> int:
+        """Register ``compiled`` for ``vm_id`` (replacing any earlier one)
+        and return its slot."""
+        slot = self.slots.get(vm_id)
+        if slot is None:
+            if self._free:
+                slot = self._free.pop()
+            else:
+                slot = len(self._by_slot)
+                self._by_slot.append(None)
+                if slot == len(self.rows):
+                    self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+            self.slots[vm_id] = slot
+        self._compiled[vm_id] = compiled
+        self._by_slot[slot] = compiled
+        row_of = getattr(compiled, "row", None)
+        row = row_of(self.rng) if row_of is not None else None
+        if row is not None:
+            self.rows[slot] = row
+        else:
+            self.rows[slot] = 0.0
+            self.rows[slot, _CPU] = self.rows[slot, _MEM] = _OPAQUE
+        return slot
+
+    def pop(self, vm_id: str, default=None):
+        """Forget ``vm_id``'s evaluator and free its slot."""
+        compiled = self._compiled.pop(vm_id, None)
+        if compiled is None:
+            return default
+        slot = self.slots.pop(vm_id)
+        self._by_slot[slot] = None
+        self._free.append(slot)
+        return compiled
+
+    def evaluate(self, slots: list[int], now: float) -> np.ndarray:
+        """Demand of the VMs in ``slots`` at ``now``, as a (5, n) array of
+        ``(cpu_cores, memory_mb, network_tx_kbps, network_rx_kbps,
+        disk_gb)`` rows.
+
+        Equal, bit for bit, to each VM's ``evaluate(now)`` called in
+        ``slots`` order, and leaves the generator where those calls would.
+        """
+        n = len(slots)
+        rows = self.rows[slots]
+        cpu_kind = rows[:, _CPU]
+        mem_kind = rows[:, _MEM]
+        # The Gaussians in stream order, each VM's cpu draw then its mem
+        # draw, taken as standard normals run by run.
+        gauss = np.zeros(2 * n)
+        uniforms = np.zeros(2 * n)
+        standard_normal = self.rng.standard_normal
+        random = self.rng.random
+        opaque = []
+        done = 0  # Gaussians [0, done) are drawn
+
+        def draw_to(stop: int) -> None:
+            nonlocal done
+            if done < stop:
+                standard_normal(out=gauss[done:stop])
+            done = stop
+
+        breaks = np.flatnonzero(
+            (cpu_kind == _BURSTY) | (cpu_kind == _OPAQUE) | (mem_kind == _BURSTY)
+        )
+        for i, cpu_k, mem_k in zip(
+            breaks.tolist(), cpu_kind[breaks].tolist(), mem_kind[breaks].tolist()
+        ):
+            if cpu_k == _OPAQUE:
+                draw_to(2 * i)
+                opaque.append((i, self._by_slot[slots[i]].evaluate(now)))
+                done = 2 * i + 2  # its Gaussians were its own
+                continue
+            for k, kind in ((2 * i, cpu_k), (2 * i + 1, mem_k)):
+                if kind == _BURSTY:
+                    draw_to(k)
+                    uniforms[k] = random()
+        draw_to(2 * n)
+        # ``rng.normal(0.0, sigma)`` is ``0.0 + sigma * gauss``; the
+        # ``+ 0.0`` turns a -0.0 product (sigma 0) into +0.0 the same way.
+        noise = rows[:, [_CPU + 1, _MEM + 1]].ravel() * gauss + 0.0
+
+        t = float(now)
+        hour = (t % _DAY) / 3600.0
+        weekend = _is_weekend(t)
+        cpu = _channel_values(
+            rows[:, _CPU:_MEM], noise[0::2], uniforms[0::2], t, hour, weekend
+        )
+        mem = _channel_values(
+            rows[:, _MEM:], noise[1::2], uniforms[1::2], t, hour, weekend
+        )
+        out = np.empty((5, n))
+        out[0] = cpu * rows[:, 0]
+        out[1] = mem * rows[:, 1]
+        out[2] = rows[:, 2] * cpu
+        out[3] = out[2] * 0.8
+        out[4] = rows[:, 3]
+        for i, values in opaque:
+            out[:, i] = values
+        return out

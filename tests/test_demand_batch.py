@@ -1,0 +1,289 @@
+"""The scrape tick's batch read (repro.workloads.waveform.DemandTable).
+
+``DemandTable.evaluate`` must equal, bit for bit, the sequence of scalar
+``CompiledDemand.evaluate`` calls it replaces, in all five columns, and
+leave the shared generator where those calls would.  The properties build
+two identical worlds from identically seeded generators (one read VM by
+VM, one read as a batch) over random ordered mixes of VMs: every built-in
+profile and flavor family, hand-written closures and nested noise that
+draw from the shared generator, channels without noise, and noise on
+another generator.
+
+The numpy contract the batch relies on is guarded separately, so a numpy
+upgrade that changes any of it fails here by name rather than as a
+fingerprint diff somewhere downstream.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.infrastructure.flavors import default_catalog
+from repro.simulation import runner
+from repro.workloads import patterns
+from repro.workloads.demand import DemandModel
+from repro.workloads.profiles import PROFILES
+from repro.workloads.waveform import DemandTable, compile_demand
+
+_CATALOG = default_catalog()
+_FLAVORS = tuple(f.name for f in _CATALOG)
+_PROFILES = tuple(PROFILES)
+#: How a mix entry departs from its profile's demand model.
+_VARIANTS = (
+    "profile", "profile", "profile", "closure", "nested", "noise_free", "other_rng"
+)
+_DAY = 86_400.0
+
+
+def _handwritten(rng):
+    """An opaque cpu closure that draws from the shared generator."""
+
+    def pattern(ts):
+        return 0.4 + 0.2 * rng.standard_normal(len(ts))
+
+    return pattern
+
+
+def _world(seed, mix):
+    """``(shared rng, demands)`` for one mix; equal seeds, equal worlds."""
+    rng = np.random.default_rng(seed)
+    other = np.random.default_rng(seed + 1)
+    model = DemandModel(rng)
+    demands = []
+    for variant, flavor, profile in mix:
+        demand = model.demand_for(_CATALOG.get(flavor), PROFILES[profile])
+        if variant == "closure":
+            demand = dataclasses.replace(demand, cpu_pattern=_handwritten(rng))
+        elif variant == "nested":
+            inner = patterns.with_noise(patterns.diurnal(0.2, 0.8), 0.05, rng)
+            product = patterns.composite([inner, patterns.weekly(1.0, 0.6)], mode="product")
+            demand = dataclasses.replace(
+                demand, cpu_pattern=patterns.with_noise(product, 0.03, rng)
+            )
+        elif variant == "noise_free":
+            demand = dataclasses.replace(demand, mem_pattern=demand.mem_pattern.inner)
+        elif variant == "other_rng":
+            demand = dataclasses.replace(
+                demand,
+                mem_pattern=patterns.with_noise(patterns.constant(0.5), 0.02, other),
+            )
+        demands.append(demand)
+    return rng, demands
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_mix = st.lists(
+    st.tuples(
+        st.sampled_from(_VARIANTS),
+        st.sampled_from(_FLAVORS),
+        st.sampled_from(_PROFILES),
+    ),
+    min_size=1,
+    max_size=40,
+)
+# Weekdays and weekend days, on and around day boundaries.
+_ticks = st.lists(
+    st.builds(
+        lambda day, offset: day * _DAY + offset,
+        st.integers(min_value=0, max_value=20),
+        st.sampled_from([0.0, 0.001, 900.0, 43_200.0, 86_399.999])
+        | st.floats(min_value=0.0, max_value=_DAY - 1.0),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), mix=_mix, ticks=_ticks)
+def test_batch_equals_scalar_reads_bit_for_bit(seed, mix, ticks):
+    scalar_rng, scalar_demands = _world(seed, mix)
+    batch_rng, batch_demands = _world(seed, mix)
+    scalar = [compile_demand(d) for d in scalar_demands]
+    table = DemandTable(batch_rng)
+    slots = [table.put(f"vm{i}", compile_demand(d)) for i, d in enumerate(batch_demands)]
+    for t in ticks:
+        expected = np.array([cd.evaluate(t) for cd in scalar]).T
+        got = table.evaluate(slots, t)
+        assert got.shape == (5, len(mix))
+        assert np.array_equal(_bits(got), _bits(expected)), t
+    # Same stream position: the next draw agrees.
+    assert batch_rng.random() == scalar_rng.random()
+
+
+def test_every_builtin_profile_and_family_gets_a_row():
+    """The profiles' shapes all batch; only the test stand-ins are opaque."""
+    rng = np.random.default_rng(3)
+    model = DemandModel(rng)
+    for profile in _PROFILES:
+        for flavor in ("g_c8_m32", "h_c16_m256", "gpu_c32_m256"):
+            for _ in range(20):
+                cd = compile_demand(model.demand_for(_CATALOG.get(flavor), PROFILES[profile]))
+                assert cd.row(rng) is not None, (profile, flavor)
+                assert cd.row(np.random.default_rng(3)) is None
+    shared, opaque = _world(
+        5,
+        [("closure", "g_c2_m8", "cicd"), ("nested", "g_c2_m8", "devenv"),
+         ("noise_free", "g_c2_m8", "general"), ("other_rng", "g_c2_m8", "hana_db")],
+    )
+    for demand in opaque:
+        assert compile_demand(demand).row(shared) is None
+
+
+def test_slot_reuse_and_replacement():
+    rng = np.random.default_rng(1)
+    model = DemandModel(rng)
+    flavor = _CATALOG.get("g_c4_m16")
+
+    def cd():
+        return compile_demand(model.demand_for(flavor))
+
+    table = DemandTable(rng)
+    a, b, c = (table.put(vm, cd()) for vm in ("a", "b", "c"))
+    assert sorted((a, b, c)) == [0, 1, 2]
+    assert table.pop("b") is not None
+    assert table.pop("b") is None
+    assert "b" not in table and set(table) == {"a", "c"}
+    assert table.put("d", cd()) == b  # the freed slot, not a new one
+    replacement = cd()
+    assert table.put("a", replacement) == a  # recompile keeps the slot
+    assert table.get("a") is replacement
+    assert len(table) == 3 and set(table.slots) == {"a", "c", "d"}
+
+
+def test_table_grows_past_its_initial_capacity():
+    rng_a, demands_a = _world(8, [("profile", "g_c2_m8", p) for p in _PROFILES] * 30)
+    rng_b, demands_b = _world(8, [("profile", "g_c2_m8", p) for p in _PROFILES] * 30)
+    table = DemandTable(rng_b)
+    slots = [table.put(str(i), compile_demand(d)) for i, d in enumerate(demands_b)]
+    expected = np.array([compile_demand(d).evaluate(4_000.0) for d in demands_a]).T
+    assert np.array_equal(_bits(table.evaluate(slots, 4_000.0)), _bits(expected))
+    assert rng_a.random() == rng_b.random()
+
+
+class TestSimulationSlots:
+    """Slots follow the simulation's identity-keyed compile lifecycle."""
+
+    def test_churn_with_resizes_keeps_slots_in_step_with_demands(self, monkeypatch):
+        from tests.conftest import build_tiny_region_spec
+
+        compiles = []
+
+        def counting(demand):
+            compiles.append(demand)
+            return compile_demand(demand)
+
+        monkeypatch.setattr(runner, "compile_demand", counting)
+        sim = runner.RegionSimulation(
+            build_tiny_region_spec(),
+            runner.SimulationConfig(
+                duration_days=1.0,
+                scrape_interval_s=3600.0,
+                drs_interval_s=None,
+                arrival_rate_per_hour=30.0,
+                resize_rate_per_hour=10.0,
+                initial_vms=40,
+                seed=4,
+            ),
+        )
+        result = sim.run()
+        assert result.resized > 0 and result.deleted > 0
+        sim._handle_scrape(sim.engine, None)  # compile every live demand
+        table = sim._compiled
+        assert set(table) == set(table.slots) == set(sim.demands)
+        slots = list(table.slots.values())
+        assert len(set(slots)) == len(slots)
+        # Freed slots were reused: far fewer rows than compiled VMs.
+        assert max(slots) + 1 < len(compiles)
+
+    def test_dead_letter_frees_slots_for_reuse(self):
+        from tests.test_fault_evacuation import _place, _sim
+
+        sim = _sim(bbs=1, nodes=2, evac_max_retries=2)
+        for n, node_id in enumerate(("bb0-node-000", "bb0-node-001")):
+            for i in range(8):
+                vm = _place(sim, f"vm{n}-{i}", "g_c32_m256", node_id)
+                sim.demands[vm.vm_id] = sim.demand_model.demand_for(vm.flavor)
+        sim._handle_scrape(sim.engine, None)
+        table = sim._compiled
+        before = dict(table.slots)
+        sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
+        sim.engine.run_until(5000.0)
+        dead = set(sim.fault_report.dead_lettered_vms)
+        assert len(dead) == 8
+        assert set(table.slots) == set(sim.demands) == set(before) - dead
+        freed = {before[vm_id] for vm_id in dead}
+        vm = _place(sim, "late", "g_c2_m8", "bb0-node-001")
+        sim.demands[vm.vm_id] = sim.demand_model.demand_for(vm.flavor)
+        sim._handle_scrape(sim.engine, None)
+        assert table.slots["late"] in freed
+
+
+class TestNumpyContract:
+    """What the batch assumes of numpy, each checked on its own."""
+
+    SIGMAS = np.concatenate([np.full(7, 0.03), [0.0, 0.01, 0.0], np.linspace(0, 0.2, 50)])
+
+    def test_array_normal_equals_successive_scalar_draws(self):
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        batch = a.normal(0.0, self.SIGMAS)
+        scalar = [b.normal(0.0, float(s)) for s in self.SIGMAS]
+        assert np.array_equal(_bits(batch), _bits(scalar))
+        assert a.random() == b.random()
+
+    def test_run_wise_standard_normals_equal_normal(self):
+        """``normal(0, sigma)`` is ``0.0 + sigma * gauss``: standard normals
+        drawn into slices, scaled and shifted, give its bits (signed zeros
+        from sigma 0 included) and its stream position."""
+        a, b = np.random.default_rng(12), np.random.default_rng(12)
+        expected = a.normal(0.0, self.SIGMAS)
+        gauss = np.empty(len(self.SIGMAS))
+        for lo, hi in ((0, 3), (3, 4), (4, 40), (40, len(self.SIGMAS))):
+            b.standard_normal(out=gauss[lo:hi])
+        assert np.array_equal(_bits(self.SIGMAS * gauss + 0.0), _bits(expected))
+        assert a.random() == b.random()
+
+    def test_array_exp_equals_scalar_exp(self):
+        x = np.random.default_rng(13).uniform(-80.0, 0.0, 20_000)
+        for n in range(1, 65):
+            head = x[:n]
+            assert np.array_equal(
+                _bits(np.exp(head)), _bits([np.exp(float(v)) for v in head])
+            ), n
+        assert np.array_equal(_bits(np.exp(x)), _bits([np.exp(float(v)) for v in x]))
+
+    def test_remainder_equals_python_modulo_on_spike_inputs(self):
+        rng = np.random.default_rng(14)
+        t = np.concatenate([rng.uniform(0.0, 60 * _DAY, 20_000), np.arange(0.0, 20 * _DAY, 900.0)])
+        phase = rng.uniform(0.0, _DAY, len(t))
+        period = rng.uniform(0.5, 2.0, len(t)) * _DAY
+        got = np.remainder(t + phase, period)
+        expected = [(float(a) + float(p)) % float(q) for a, p, q in zip(t, phase, period)]
+        assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_cumsum_is_a_sequential_left_fold(self):
+        """The per-node rollup: along the last axis of a (channels x nodes x
+        k+1) matrix, the last cumsum column is each row's ``+=`` loop from
+        0.0, zero padding included."""
+        rng = np.random.default_rng(15)
+        rows = [
+            rng.uniform(0.0, 64.0, k) * 10.0 ** rng.integers(-3, 4, k)
+            for k in (1, 7, 33, 130)
+        ]
+        padded = np.zeros((2, len(rows), 140))
+        for i, row in enumerate(rows):
+            padded[0, i, 1 : len(row) + 1] = row
+            padded[1, i, 1 : len(row) + 1] = row[::-1]
+        folds = []
+        for channel in (rows, [row[::-1] for row in rows]):
+            for row in channel:
+                acc = 0.0
+                for v in row.tolist():
+                    acc += v
+                folds.append(acc)
+        got = np.cumsum(padded, axis=2)[:, :, -1].ravel()
+        assert np.array_equal(_bits(got), _bits(folds))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.simulation.hostsched import HostCpuModel
 
@@ -69,6 +69,37 @@ class TestResolveSeries:
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
             HostCpuModel(10).resolve_series(np.asarray([-1.0]), 300)
+
+    def test_node_vector_rejects_a_non_positive_core_count(self):
+        with pytest.raises(ValueError):
+            HostCpuModel(np.asarray([64.0, 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=512),
+            st.floats(min_value=0, max_value=2_000) | st.just(0.0),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    window=st.floats(min_value=1, max_value=3600),
+)
+def test_node_vector_equals_per_node_windows_bit_for_bit(nodes, window):
+    """The scrape resolves every node's window with one model over the
+    node vector; each element must be that node's own scalar window."""
+    cores = np.asarray([c for c, _ in nodes], dtype=float)
+    demand = np.asarray([d for _, d in nodes])
+    used, ready, contention = HostCpuModel(cores, efficiency=0.97).resolve_series(
+        demand, window
+    )
+    for i, (c, d) in enumerate(nodes):
+        usage = HostCpuModel(c, efficiency=0.97).resolve_window(d, window)
+        assert used[i] == usage.cpu_used_fraction
+        assert ready[i] == usage.cpu_ready_ms
+        assert contention[i] == usage.cpu_contention_fraction
 
 
 class TestFairShare:

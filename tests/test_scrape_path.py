@@ -195,13 +195,32 @@ class _CpuUlpHigh:
         return (math.nextafter(cpu, math.inf), *rest)
 
 
+def _batch_cpu_ulp_high(evaluate):
+    """``DemandTable.evaluate`` with every row-backed VM's CPU one ulp high.
+
+    Opaque VMs (no row, or a row on another generator) keep their own
+    ``evaluate``'s value, so only the array path is perturbed.
+    """
+
+    def perturbed(table, slots, now):
+        out = evaluate(table, slots, now)
+        vm_of = {slot: vm_id for vm_id, slot in table.slots.items()}
+        for i, slot in enumerate(slots):
+            row = getattr(table.get(vm_of[slot]), "row", None)
+            if row is not None and row(table.rng) is not None:
+                out[0, i] = math.nextafter(out[0, i], math.inf)
+        return out
+
+    return perturbed
+
+
 class TestReferenceIndependence:
     """The verify reference must not share the path it checks.
 
-    A reference that quietly called the compiled waveforms or the
-    series-handle emit would agree with any bug in them; perturbing the
-    simulator's fast path must therefore make the ``scrape_path`` check
-    fail with a diff.
+    A reference that quietly called the compiled waveforms, the batch
+    table or the series-handle emit would agree with any bug in them;
+    perturbing the simulator's fast path must therefore make the
+    ``scrape_path`` check fail with a diff.
     """
 
     @staticmethod
@@ -211,7 +230,19 @@ class TestReferenceIndependence:
         return outcome
 
     def test_cpu_one_ulp_off_is_caught(self, monkeypatch):
+        # The stand-in has no row, so every VM is opaque: this covers the
+        # batch's in-place scalar reads.
         monkeypatch.setattr(runner, "compile_demand", _CpuUlpHigh)
+        outcome = self._scrape_path_outcome()
+        assert not outcome.ok
+        assert "store_fingerprint" in outcome.diff
+
+    def test_batch_cpu_one_ulp_off_is_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            waveform.DemandTable,
+            "evaluate",
+            _batch_cpu_ulp_high(waveform.DemandTable.evaluate),
+        )
         outcome = self._scrape_path_outcome()
         assert not outcome.ok
         assert "store_fingerprint" in outcome.diff
