@@ -148,7 +148,10 @@ class DrsBalancer:
         (:func:`~repro.drs.imbalance.moved_rows`), and one
         :func:`~repro.drs.imbalance.row_imbalance`.  Candidates are
         compared in target order with a strict ``>``, so the first of
-        equal improvements wins.
+        equal improvements wins.  The source's VMs are read in one
+        :func:`~repro.drs.imbalance.read_loads` call before any target is
+        scored; nothing in between draws, so the reads are those of a
+        VM-by-VM loop.
         """
         fractions = self.node_load_fractions(bb, load_fn)
         if len(fractions) < 2:
@@ -167,10 +170,9 @@ class DrsBalancer:
 
         best: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
         best_light: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
-        for vm in source.vms.values():
-            if vm.vm_id in exclude:
-                continue
-            load = load_fn(vm)
+        candidates = [vm for vm in source.vms.values() if vm.vm_id not in exclude]
+        loads = objective.read_loads(load_fn, candidates)
+        for vm, load in zip(candidates, loads):
             requested = vm.requested()
             admissible = [
                 target

@@ -5,6 +5,12 @@ rebalance driver balance across building blocks on it (§7).  A node's load
 fraction is its load over its physical cores; the imbalance is their
 population std.  Failed and zero-core nodes are left out: their zero load
 is no imbalance a migration could fix, and nothing may move onto them.
+
+Loads are read through :func:`read_loads`, one call per set of VMs: a load
+callable with a ``many`` method (the simulation's, which reads a whole set
+as one demand batch) answers the set at once, any other is called VM by
+VM.  Both read in the given order, so a load model that draws from a
+shared generator draws the same numbers either way.
 """
 
 from __future__ import annotations
@@ -32,14 +38,33 @@ def general_purpose_nodes(region: Region, datacenter: str) -> list[ComputeNode]:
     ]
 
 
+def read_loads(load_fn: Callable[[VM], float], vms: list[VM]) -> list[float]:
+    """``load_fn`` of each VM in ``vms``, in order: one ``load_fn.many(vms)``
+    call when the callable has that method, else one call per VM."""
+    many = getattr(load_fn, "many", None)
+    if many is not None:
+        return many(vms)
+    return [load_fn(vm) for vm in vms]
+
+
 def load_fractions(
     nodes: Iterable[ComputeNode], load_fn: Callable[[VM], float]
 ) -> dict[str, float]:
-    """Each balanced node's summed VM load over its physical cores."""
-    return {
-        node.node_id: sum(load_fn(vm) for vm in node.vms.values()) / node.physical.vcpus
-        for node in balanced_nodes(nodes)
-    }
+    """Each balanced node's summed VM load over its physical cores.
+
+    Every VM is read in one :func:`read_loads` call, in node order, then
+    residency order; each node sums its slice left to right from 0.
+    """
+    balanced = balanced_nodes(nodes)
+    vms = [vm for node in balanced for vm in node.vms.values()]
+    loads = read_loads(load_fn, vms)
+    fractions = {}
+    start = 0
+    for node in balanced:
+        stop = start + len(node.vms)
+        fractions[node.node_id] = sum(loads[start:stop]) / node.physical.vcpus
+        start = stop
+    return fractions
 
 
 def imbalance(values: Sequence[float]) -> float:

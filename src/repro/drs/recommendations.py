@@ -12,6 +12,7 @@ import copy
 from dataclasses import dataclass
 
 from repro.drs.balancer import DrsBalancer, DrsConfig, LoadFn, _allocated_load
+from repro.drs.imbalance import read_loads
 from repro.infrastructure.hierarchy import BuildingBlock
 
 
@@ -38,7 +39,8 @@ def recommend_moves(
     balancer = DrsBalancer(config=config or DrsConfig())
     snapshot = copy.deepcopy(bb)
     # Loads are keyed by vm_id so the copy can reuse the caller's load model.
-    loads = {vm.vm_id: load_fn(vm) for vm in bb.vms()}
+    vms = bb.vms()
+    loads = dict(zip((vm.vm_id for vm in vms), read_loads(load_fn, vms)))
     migrations = balancer.run(snapshot, load_fn=lambda vm: loads.get(vm.vm_id, 0.0))
     if not migrations:
         return []

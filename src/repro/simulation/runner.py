@@ -323,11 +323,12 @@ class RegionSimulation:
         #: created.
         self._live = LiveVMIndex()
         self.demands: dict[str, VMDemand] = {}
-        #: Per-VM compiled waveform evaluators and their batch rows (scrape
-        #: and DRS load).  Entries are validated by demand-object identity
-        #: on every use and recompiled on mismatch, so create/resize (which
-        #: swap the VMDemand) can never be served a stale waveform; resize
-        #: and ``drop_demand`` free the entry's slot.
+        #: Per-VM compiled waveform evaluators and their batch rows, read
+        #: a batch at a time by the scrape tick and by DRS (:class:`DrsLoad`).
+        #: Entries are validated by demand-object identity on every use and
+        #: recompiled on mismatch, so create/resize (which swap the
+        #: VMDemand) can never be served a stale waveform; resize and
+        #: ``drop_demand`` free the entry's slot.
         self._compiled = DemandTable(self.rng)
         self._stale_usage = NodeUsage(
             cpu_used_fraction=STALE,
@@ -815,21 +816,15 @@ class RegionSimulation:
         self.nova_exporter.emit_region(store, self.region, now)
 
     def _handle_drs(self, engine: SimulationEngine, event) -> None:
-        now = engine.now
-        demands = self.demands
-        table = self._compiled
-        compiled = table.get
+        """One DRS pass over every spread building block.
 
-        def load_fn(vm: VM) -> float:
-            demand = demands.get(vm.vm_id)
-            if demand is None:
-                return float(vm.flavor.vcpus)
-            cd = compiled(vm.vm_id)
-            if cd is None or cd.demand is not demand:
-                cd = compile_demand(demand)
-                table.put(vm.vm_id, cd)
-            return cd.evaluate(now)[0]
-
+        The balancer reads loads through :class:`DrsLoad`: each node-load
+        pass and each source scan is one :meth:`DemandTable.evaluate`
+        batch, equal to the per-VM reads of
+        :class:`~repro.verify.reference.ReferenceSimulation`, shared-RNG
+        draws included.
+        """
+        load_fn = DrsLoad(self.demands, self._compiled, engine.now)
         for bb in self._bb_index.values():
             if bb.policy == "pack":
                 continue  # DRS load-balancing is for spread BBs.
@@ -840,6 +835,58 @@ class RegionSimulation:
 
     def _pick_flavor(self):
         return self._mix_flavors[draw(self._mix_cdf, self.rng)]
+
+
+class DrsLoad:
+    """The DRS load model at one instant: a VM's CPU demand in cores.
+
+    A VM without a demand model loads its allocated vCPUs and draws
+    nothing.  ``load(vm)`` reads one VM through its compiled waveform;
+    ``load.many(vms)`` reads a list in one :meth:`DemandTable.evaluate`,
+    which equals ``[load(vm) for vm in vms]`` bit for bit and leaves the
+    shared generator where those calls would.  Both recompile a VM whose
+    registered demand object was replaced, as the scrape does.
+    """
+
+    __slots__ = ("demands", "table", "now")
+
+    def __init__(self, demands: dict[str, VMDemand], table: DemandTable, now: float):
+        self.demands = demands
+        self.table = table
+        self.now = now
+
+    def __call__(self, vm: VM) -> float:
+        demand = self.demands.get(vm.vm_id)
+        if demand is None:
+            return float(vm.flavor.vcpus)
+        cd = self.table.get(vm.vm_id)
+        if cd is None or cd.demand is not demand:
+            cd = compile_demand(demand)
+            self.table.put(vm.vm_id, cd)
+        return cd.evaluate(self.now)[0]
+
+    def many(self, vms: list[VM]) -> list[float]:
+        demands = self.demands
+        table = self.table
+        compiled = table.get
+        slot_of = table.slots
+        slots = []
+        allocated = []  # (position, vCPUs) of the VMs without a demand
+        for i, vm in enumerate(vms):
+            vm_id = vm.vm_id
+            demand = demands.get(vm_id)
+            if demand is None:
+                allocated.append((i, float(vm.flavor.vcpus)))
+                continue
+            cd = compiled(vm_id)
+            if cd is None or cd.demand is not demand:
+                slots.append(table.put(vm_id, compile_demand(demand)))
+            else:
+                slots.append(slot_of[vm_id])
+        loads = table.evaluate(slots, self.now)[0].tolist() if slots else []
+        for i, value in allocated:  # ascending, so each lands at its position
+            loads.insert(i, value)
+        return loads
 
 
 def _fold_groups(values: np.ndarray, counts: list[int]) -> np.ndarray:

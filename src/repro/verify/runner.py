@@ -23,8 +23,9 @@ Checks:
     former ``scripts/check_fault_determinism.sh`` and
     ``scripts/check_chaos_determinism.sh``.
 ``scrape_path``
-    The simulator's columnar scrape vs the per-sample reference in
-    :mod:`repro.verify.reference` on a seeded two-day fault scenario:
+    The simulator (batched scrape and DRS reads) vs the per-sample
+    reference in :mod:`repro.verify.reference` on a seeded two-day fault
+    run sized by the scenario (``dense`` packs the most VMs per node):
     placements, counters, scheduler stats, the fault report, and the
     telemetry store's content fingerprint must be byte-identical.
 ``sweep``
@@ -271,22 +272,21 @@ def _check_determinism_chaos(scenario: VerifyScenario, seed: int) -> CheckOutcom
 def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
     """The simulator must be observationally identical to the reference.
 
-    The seeded fault scenario (stretched to two days so fault windows,
-    DRS rounds, and stale scrapes all occur) is run once by the
-    simulator (columnar scrape, compiled DRS load) and once by the
-    per-sample :class:`~repro.verify.reference.ReferenceSimulation`, and
+    The scenario's two-day faulted run
+    (:meth:`~repro.verify.scenarios.VerifyScenario.scrape_path_scenario`)
+    is run once by the simulator (batched scrape, batched DRS reads) and
+    once by the per-sample
+    :class:`~repro.verify.reference.ReferenceSimulation`, and
     each run is rendered to one canonical document covering everything
     downstream consumers can observe: final placements, lifecycle
     counters, scheduler stats, the fault report, and the telemetry
     store's content fingerprint (every timestamp and value byte of every
     series, in insertion order).
     """
-    from dataclasses import replace
-
     from repro.faults.scenario import run_fault_scenario
     from repro.verify.reference import run_reference_scenario
 
-    config = replace(scenario.fault_scenario(seed), duration_days=2.0)
+    config = scenario.scrape_path_scenario(seed)
 
     def render(result) -> str:
         doc = {

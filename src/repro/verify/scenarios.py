@@ -45,6 +45,13 @@ class VerifyScenario:
     chaos_days: float = 0.2
     #: Whether the (more expensive) chaos determinism check runs at all.
     include_chaos: bool = True
+    #: Shape of the two-day ``scrape_path`` run (its faults are the fault
+    #: scenario's): building blocks, nodes per block, VMs placed before
+    #: the run, and arrivals per hour.
+    scrape_bbs: int = 2
+    scrape_nodes_per_bb: int = 3
+    scrape_initial_vms: int = 40
+    scrape_arrival_rate_per_hour: float = 8.0
 
     def topology(self) -> TopologySpec:
         """The region spec every check of this scenario starts from."""
@@ -105,6 +112,19 @@ class VerifyScenario:
                 stale_node_probability=0.04,
                 evac_backoff_base_s=15.0,
             ),
+        )
+
+    def scrape_path_scenario(self, seed: int):
+        """The fault scenario stretched to two days, so fault windows, DRS
+        passes and stale scrapes all occur, at this scenario's
+        ``scrape_*`` shape: the run the ``scrape_path`` check replays."""
+        return replace(
+            self.fault_scenario(seed),
+            duration_days=2.0,
+            building_blocks=self.scrape_bbs,
+            nodes_per_bb=self.scrape_nodes_per_bb,
+            initial_vms=self.scrape_initial_vms,
+            arrival_rate_per_hour=self.scrape_arrival_rate_per_hour,
         )
 
     def chaos_scenario(self, seed: int):
@@ -204,6 +224,10 @@ SCENARIOS: dict[str, VerifyScenario] = {
             region_scale=0.02,
             fault_days=0.25,
             chaos_days=0.25,
+            scrape_bbs=4,
+            scrape_nodes_per_bb=4,
+            scrape_initial_vms=120,
+            scrape_arrival_rate_per_hour=12.0,
         ),
         VerifyScenario(
             name="dense",
@@ -215,6 +239,10 @@ SCENARIOS: dict[str, VerifyScenario] = {
             nodes_per_bb=2,
             fault_days=0.2,
             include_chaos=False,
+            scrape_bbs=2,
+            scrape_nodes_per_bb=2,
+            scrape_initial_vms=100,
+            scrape_arrival_rate_per_hour=16.0,
         ),
     )
 }

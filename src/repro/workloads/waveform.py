@@ -1,7 +1,7 @@
-"""Per-VM demand waveforms, read one VM at a time or one scrape tick at once.
+"""Per-VM demand waveforms, read one VM at a time or a whole batch at once.
 
 The simulation reads every VM's demand at a single timestamp: once per
-900 s scrape tick, and again for every DRS ``load_fn`` call at the pass's
+900 s scrape tick, and again for every DRS load read at the pass's
 ``now``.  The vectorised pattern closures in
 :mod:`repro.workloads.patterns` are built for timestamp *grids*; calling
 them with one-element arrays allocates half a dozen temporaries plus a
@@ -38,16 +38,17 @@ two clip branches.  The branches match ``np.clip`` bitwise, including the
 ``-0.0`` corner (np.clip keeps it).  A nested ``noise``, which no profile
 builds, takes the one-element fallback.  Bases and noise run on every
 read, so the count and order of shared-RNG draws are exactly those of the
-numpy path.  The DRS ``load_fn`` reads demand this way, one VM at a time.
+numpy path.
 
 The scrape tick reads every resident VM at once through a
-:class:`DemandTable`.  :meth:`CompiledDemand.row` reads the same
-``basis`` metadata as the scalar closures and gives a parameter *row* for
-the four base shapes the profiles build (constant or ramp, diurnal ×
-weekly, bursty, max(constant, spike)), each under a top-level noise; the
-table keeps one row per VM in numpy columns and
-:meth:`DemandTable.evaluate` computes a whole tick's bases, noise, clips
-and scaling as array ops.  Its shared-RNG draws keep the scalar stream
+:class:`DemandTable`, and DRS reads each node-load pass and each source
+scan the same way (``repro.simulation.runner.DrsLoad``).
+:meth:`CompiledDemand.row` reads the same ``basis`` metadata as the
+scalar closures and gives a parameter *row* for the four base shapes the
+profiles build (constant or ramp, diurnal × weekly, bursty, max(constant,
+spike)), each under a top-level noise; the table keeps one row per VM in
+numpy columns and :meth:`DemandTable.evaluate` computes a whole batch's
+bases, noise, clips and scaling as array ops.  Its shared-RNG draws keep the scalar stream
 order: each maximal run of Gaussians is one ``standard_normal`` call,
 scaled as ``0.0 + sigma * gauss`` (which is what ``rng.normal(0.0,
 sigma)`` computes, draw for draw), a bursty channel's uniform breaks the
@@ -361,23 +362,23 @@ def compile_demand(demand: VMDemand) -> CompiledDemand:
 
 
 def _channel_values(block, noise, uniforms, t: float, hour: float, weekend: bool):
-    """One channel's clipped ratios for a tick's rows: the scalar base
-    functions and clip branches above, as array ops."""
+    """Clipped ratios of channel blocks (cpu and mem alike): the scalar
+    base functions and clip branches above, as array ops."""
     kind = block[:, 0]
     p = block[:, 2:]
     base = p[:, 0].copy()  # constant and ramp: the level
-    sel = np.flatnonzero(kind == _DIURNAL)
+    sel = (kind == _DIURNAL).nonzero()[0]
     if sel.size:
         q = p[sel]
         a = np.abs(hour - q[:, 2])
         z = np.minimum(a, 24.0 - a) / q[:, 3]
         bump = np.exp(-0.5 * (z * z))
         base[sel] = (q[:, 0] + q[:, 1] * bump) * q[:, 5 if weekend else 4]
-    sel = np.flatnonzero(kind == _BURSTY)
+    sel = (kind == _BURSTY).nonzero()[0]
     if sel.size:
         q = p[sel]
         base[sel] = np.where(uniforms[sel] < q[:, 2], q[:, 1], q[:, 0])
-    sel = np.flatnonzero(kind == _SPIKE)
+    sel = (kind == _SPIKE).nonzero()[0]
     if sel.size:
         q = p[sel]
         in_spike = np.remainder(t + q[:, 5], q[:, 3]) < q[:, 4]
@@ -458,6 +459,8 @@ class DemandTable:
 
         Equal, bit for bit, to each VM's ``evaluate(now)`` called in
         ``slots`` order, and leaves the generator where those calls would.
+        DRS calls it for batches of tens of VMs, so the fixed cost per
+        call counts: both channels go through one :func:`_channel_values`.
         """
         n = len(slots)
         rows = self.rows[slots]
@@ -478,9 +481,9 @@ class DemandTable:
                 standard_normal(out=gauss[done:stop])
             done = stop
 
-        breaks = np.flatnonzero(
+        breaks = (
             (cpu_kind == _BURSTY) | (cpu_kind == _OPAQUE) | (mem_kind == _BURSTY)
-        )
+        ).nonzero()[0]
         for i, cpu_k, mem_k in zip(
             breaks.tolist(), cpu_kind[breaks].tolist(), mem_kind[breaks].tolist()
         ):
@@ -494,19 +497,18 @@ class DemandTable:
                     draw_to(k)
                     uniforms[k] = random()
         draw_to(2 * n)
+        # One channel block per Gaussian: VM i's cpu block is block 2i, its
+        # mem block 2i + 1, so both channels take one pass.
+        blocks = rows[:, _CPU:].reshape(2 * n, _MEM - _CPU)
         # ``rng.normal(0.0, sigma)`` is ``0.0 + sigma * gauss``; the
         # ``+ 0.0`` turns a -0.0 product (sigma 0) into +0.0 the same way.
-        noise = rows[:, [_CPU + 1, _MEM + 1]].ravel() * gauss + 0.0
+        noise = blocks[:, 1] * gauss + 0.0
 
         t = float(now)
         hour = (t % _DAY) / 3600.0
-        weekend = _is_weekend(t)
-        cpu = _channel_values(
-            rows[:, _CPU:_MEM], noise[0::2], uniforms[0::2], t, hour, weekend
-        )
-        mem = _channel_values(
-            rows[:, _MEM:], noise[1::2], uniforms[1::2], t, hour, weekend
-        )
+        ratios = _channel_values(blocks, noise, uniforms, t, hour, _is_weekend(t))
+        cpu = ratios[0::2]
+        mem = ratios[1::2]
         out = np.empty((5, n))
         out[0] = cpu * rows[:, 0]
         out[1] = mem * rows[:, 1]

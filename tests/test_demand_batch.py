@@ -1,4 +1,5 @@
-"""The scrape tick's batch read (repro.workloads.waveform.DemandTable).
+"""The batch demand reads (repro.workloads.waveform.DemandTable): one per
+scrape tick, and one per DRS node-load pass and source scan.
 
 ``DemandTable.evaluate`` must equal, bit for bit, the sequence of scalar
 ``CompiledDemand.evaluate`` calls it replaces, in all five columns, and
@@ -8,6 +9,10 @@ VM, one read as a batch) over random ordered mixes of VMs: every built-in
 profile and flavor family, hand-written closures and nested noise that
 draw from the shared generator, channels without noise, and noise on
 another generator.
+
+DRS driven through the simulation's batching load object
+(:class:`repro.simulation.runner.DrsLoad`) must equal DRS driven by a
+scalar ``load_fn``: fractions, migrations and generator state.
 
 The numpy contract the batch relies on is guarded separately, so a numpy
 upgrade that changes any of it fails here by name rather than as a
@@ -19,12 +24,18 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.drs.balancer import DrsBalancer, DrsConfig
+from repro.drs.imbalance import load_fractions
+from repro.drs.recommendations import recommend_moves
+from repro.faults.migration import MigrationFaultModel
 from repro.infrastructure.flavors import default_catalog
+from repro.infrastructure.vm import VM
 from repro.simulation import runner
 from repro.workloads import patterns
 from repro.workloads.demand import DemandModel
 from repro.workloads.profiles import PROFILES
 from repro.workloads.waveform import DemandTable, compile_demand
+from tests.conftest import make_bb
 
 _CATALOG = default_catalog()
 _FLAVORS = tuple(f.name for f in _CATALOG)
@@ -221,6 +232,125 @@ class TestSimulationSlots:
         sim.demands[vm.vm_id] = sim.demand_model.demand_for(vm.flavor)
         sim._handle_scrape(sim.engine, None)
         assert table.slots["late"] in freed
+
+
+# -- DRS reads ------------------------------------------------------------------
+
+#: Flavors that fit a test node several times over, so DRS finds moves.
+_DRS_FLAVORS = tuple(f.name for f in _CATALOG if f.vcpus <= 16 and f.ram_gib <= 128)
+
+
+def _scalar_load(demands, now):
+    """DRS's load model read VM by VM, with no ``many``: each VM's compiled
+    waveform, or its vCPUs when it has no demand model."""
+    compiled = {}
+
+    def load_fn(vm):
+        demand = demands.get(vm.vm_id)
+        if demand is None:
+            return float(vm.flavor.vcpus)
+        if vm.vm_id not in compiled:
+            compiled[vm.vm_id] = compile_demand(demand)
+        return compiled[vm.vm_id].evaluate(now)[0]
+
+    return load_fn
+
+
+def _drs_world(seed, vms, nodes, unhealthy):
+    """``(rng, bb, demands, fault model)``: the mix's VMs on a building
+    block, ``nodes[i]`` of them on node i; a VM whose ``has_demand`` is
+    False has no demand model.  ``unhealthy`` marks nodes failed or
+    draining.  The fault model aborts most moves, drawing from the shared
+    generator between DRS reads."""
+    rng, demands = _world(seed, [mix for mix, _ in vms])
+    bb = make_bb(nodes=len(nodes))
+    members = list(bb.iter_nodes())
+    by_id = {}
+    at = 0
+    for node, count in zip(members, nodes):
+        for (mix, has_demand), demand in zip(vms[at : at + count], demands[at : at + count]):
+            vm = VM(vm_id=f"v{at}", flavor=_CATALOG.get(mix[1]))
+            node.add_vm(vm)
+            if has_demand:
+                by_id[vm.vm_id] = demand
+            at += 1
+    for node, state in zip(members, unhealthy):
+        if state == "failed":
+            node.failed = True
+        elif state == "draining":
+            node.maintenance = True
+    return rng, bb, by_id, MigrationFaultModel(0.6, rng=rng)
+
+
+def _hexes(fractions):
+    return [(node_id, value.hex()) for node_id, value in fractions.items()]
+
+
+_drs_vms = st.lists(
+    st.tuples(
+        st.tuples(
+            st.sampled_from(_VARIANTS),
+            st.sampled_from(_DRS_FLAVORS),
+            st.sampled_from(_PROFILES),
+        ),
+        st.sampled_from([True, True, True, False]),  # has a demand model
+    ),
+    min_size=2,
+    max_size=60,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    vms=_drs_vms,
+    weights=st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=5),
+    unhealthy=st.lists(st.sampled_from(["", "", "", "failed", "draining"]), max_size=5),
+    ticks=_ticks,
+)
+def test_batched_drs_equals_scalar_drs(seed, vms, weights, unhealthy, ticks):
+    """A load object with ``many`` (one batch per node-load pass and per
+    source scan) and a scalar ``load_fn`` drive DRS identically: the same
+    fractions to the bit, the same migrations, the same generator state."""
+    # Split the VMs over the nodes in proportion to ``weights``, skewed so
+    # that DRS has work.
+    total = sum(weights) or 1
+    nodes = [len(vms) * w // total for w in weights]
+    nodes[0] += len(vms) - sum(nodes)
+    balancer = DrsBalancer(config=DrsConfig(imbalance_threshold=0.01, max_moves_per_run=12))
+    scalar_rng, scalar_bb, scalar_demands, scalar_faults = _drs_world(seed, vms, nodes, unhealthy)
+    batch_rng, batch_bb, batch_demands, batch_faults = _drs_world(seed, vms, nodes, unhealthy)
+    table = DemandTable(batch_rng)
+    for t in ticks:
+        scalar = _scalar_load(scalar_demands, t)
+        batch = runner.DrsLoad(batch_demands, table, t)
+        assert hasattr(batch, "many") and not hasattr(scalar, "many")
+        assert _hexes(load_fractions(batch_bb.iter_nodes(), batch)) == _hexes(
+            load_fractions(scalar_bb.iter_nodes(), scalar)
+        )
+        assert recommend_moves(batch_bb, batch) == recommend_moves(scalar_bb, scalar)
+        moved = balancer.run(batch_bb, batch, fault_model=batch_faults)
+        expected = balancer.run(scalar_bb, scalar, fault_model=scalar_faults)
+        assert moved == expected
+        assert [(m.load_cores.hex(), m.improvement.hex()) for m in moved] == [
+            (m.load_cores.hex(), m.improvement.hex()) for m in expected
+        ]
+        assert batch_faults.abort_log == scalar_faults.abort_log
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_drs_load_batch_recompiles_a_replaced_demand():
+    """``many`` serves the registered demand object, as the scrape does:
+    a replaced demand is recompiled in its slot before it is read."""
+    rng, (first, second) = _world(21, [("profile", "g_c4_m16", "general")] * 2)
+    vm = VM(vm_id="a", flavor=_CATALOG.get("g_c4_m16"))
+    demands = {"a": first}
+    table = DemandTable(rng)
+    runner.DrsLoad(demands, table, 0.0).many([vm])
+    slot = table.slots["a"]
+    demands["a"] = second
+    runner.DrsLoad(demands, table, 900.0).many([vm])
+    assert table.get("a").demand is second and table.slots["a"] == slot
 
 
 class TestNumpyContract:

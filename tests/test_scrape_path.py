@@ -23,6 +23,7 @@ from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
 from repro.telemetry.store import MetricStore
 from repro.verify.reference import run_reference_scenario
 from repro.verify.runner import VerifyConfig, run_verify
+from repro.verify.scenarios import SCENARIOS
 from repro.workloads import waveform
 from tests.conftest import make_node
 
@@ -214,6 +215,19 @@ def _batch_cpu_ulp_high(evaluate):
     return perturbed
 
 
+def _reversed_source_scans(many):
+    """``DrsLoad.many`` reading every source scan (a batch of one node's
+    VMs) back to front: each VM still gets its own read, but the shared
+    generator's draws land on other VMs."""
+
+    def reading(self, vms):
+        if len({vm.node_id for vm in vms}) == 1:
+            return many(self, vms[::-1])[::-1]
+        return many(self, vms)
+
+    return reading
+
+
 class TestReferenceIndependence:
     """The verify reference must not share the path it checks.
 
@@ -247,6 +261,14 @@ class TestReferenceIndependence:
         assert not outcome.ok
         assert "store_fingerprint" in outcome.diff
 
+    def test_drs_source_scan_read_out_of_order_is_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            runner.DrsLoad, "many", _reversed_source_scans(runner.DrsLoad.many)
+        )
+        outcome = self._scrape_path_outcome()
+        assert not outcome.ok
+        assert '"placements"' in outcome.diff or "store_fingerprint" in outcome.diff
+
     def test_one_dropped_node_emit_is_caught(self, monkeypatch):
         emit_node = VropsExporter.emit_node
         stores = []
@@ -261,3 +283,42 @@ class TestReferenceIndependence:
         outcome = self._scrape_path_outcome()
         assert not outcome.ok
         assert '"samples"' in outcome.diff
+
+
+class TestScrapePathSizing:
+    """Each verify scenario runs its own ``scrape_path`` shape."""
+
+    def test_scenarios_run_distinct_configs(self):
+        configs = [s.scrape_path_scenario(7) for s in SCENARIOS.values()]
+        for i, a in enumerate(configs):
+            for b in configs[i + 1 :]:
+                assert a != b
+
+    def test_dense_packs_the_most_vms_per_node(self):
+        def per_node(config):
+            nodes = config.building_blocks * config.nodes_per_bb
+            return config.initial_vms / nodes, config.arrival_rate_per_hour / nodes
+
+        dense = per_node(SCENARIOS["dense"].scrape_path_scenario(7))
+        for name, scenario in SCENARIOS.items():
+            if name != "dense":
+                other = per_node(scenario.scrape_path_scenario(7))
+                assert dense[0] > other[0] and dense[1] > other[1], name
+
+    def test_faults_and_duration_follow_the_fault_scenario(self):
+        for scenario in SCENARIOS.values():
+            config = scenario.scrape_path_scenario(8)
+            assert config.duration_days == 2.0
+            assert config.faults == scenario.fault_scenario(8).faults
+
+    def test_dense_drs_reads_batches_of_more_than_30_vms(self, monkeypatch):
+        sizes = []
+        many = runner.DrsLoad.many
+
+        def recording(self, vms):
+            sizes.append(len(vms))
+            return many(self, vms)
+
+        monkeypatch.setattr(runner.DrsLoad, "many", recording)
+        run_fault_scenario(SCENARIOS["dense"].scrape_path_scenario(7))
+        assert max(sizes) > 30
