@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -63,6 +65,16 @@ _SCHEDULER_SCALAR_FIELDS = (
     "alternates",
     "use_index",
     "track_filter_counts",
+)
+
+#: Float fields that must be finite: a NaN or infinity would only fail
+#: later, deep in topology or simulation set-up, or in :meth:`sha256`.
+_FLOAT_FIELDS = (
+    "region_scale",
+    "duration_days",
+    "arrival_rate_per_hour",
+    "scrape_interval_s",
+    "drs_interval_s",
 )
 
 #: Nested sections of the canonical dict shape.
@@ -132,6 +144,10 @@ class ScenarioSpec:
                 f"topology must be one of {', '.join(TOPOLOGIES)}, "
                 f"got {self.topology!r}"
             )
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.building_blocks < 1 or self.nodes_per_bb < 1:
             raise ValueError("need at least one building block and node")
         if self.building_blocks_per_az < 1:

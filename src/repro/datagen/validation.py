@@ -17,7 +17,7 @@ from repro.core.characterization import (
     lifetime_size_correlation,
     utilization_breakdown,
 )
-from repro.core.contention import contention_daily_stats, contention_summary
+from repro.core.contention import contention_summary
 from repro.core.dataset import SAPCloudDataset
 from repro.core.heatmaps import free_resource_heatmap
 
@@ -97,9 +97,8 @@ def validate_dataset(dataset: SAPCloudDataset) -> ValidationReport:
     check("table2.xlarge_share", xlarge_ram, 0.02, 0.08)
 
     # Fig 9: contention profile.
-    daily = contention_daily_stats(dataset)
     summary = contention_summary(dataset)
-    check("fig9.worst_daily_mean_pct", float(np.max(daily["mean"])), 0.0, 5.0)
+    check("fig9.worst_daily_mean_pct", summary.daily_mean_max, 0.0, 5.0)
     check("fig9.overall_max_pct", summary.overall_max, 40.0, 100.0)
     check(
         "fig9.share_nodes_above_strict",

@@ -7,7 +7,11 @@ and cross-series aggregations.
 Storage is columnar and append-mostly: each series holds one
 ``array('d')`` buffer per column (timestamps, values) — no per-sample
 Python objects — and is finalised into sorted numpy arrays lazily on
-first read.  Staleness markers are NaN sentinels
+first read.  Every bulk write (``append_series``, ``append_columns``,
+``ingest_blocks``) copies float64 columns in with one ``frombytes``.
+Besides the flat ``(metric, labels)`` map, the store keeps a per-metric
+list of series in creation order, so a selector scans only its own
+metric's series.  Staleness markers are NaN sentinels
 (:data:`~repro.telemetry.timeseries.STALE`) stored inline in the value
 column, so they survive every bulk path untouched.  Window reads go
 through an LRU cache that is invalidated by appends (the cache key
@@ -26,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.telemetry.timeseries import STALE, TimeSeries
+from repro.telemetry.timeseries import AGGS, ROW_AGGS, STALE, TimeSeries
 
 Labels = tuple[tuple[str, str], ...]
 
@@ -79,11 +83,6 @@ class _SeriesBuffer:
     def append(self, t: float, v: float) -> None:
         self._ts.append(t)
         self._vs.append(v)
-        self._finalized = None
-
-    def extend(self, ts: Iterable[float], vs: Iterable[float]) -> None:
-        self._ts.extend(ts)
-        self._vs.extend(vs)
         self._finalized = None
 
     def extend_columns(self, ts: np.ndarray, vs: np.ndarray) -> None:
@@ -140,6 +139,8 @@ class MetricStore:
 
     def __init__(self) -> None:
         self._series: dict[tuple[str, Labels], _SeriesBuffer] = {}
+        #: The same buffers per metric, in series-creation order.
+        self._by_metric: dict[str, list[tuple[Labels, _SeriesBuffer]]] = {}
         #: Memo of already-normalized label tuples (exporters emit the
         #: same tuples over and over; sorting them each time dominates
         #: per-sample ingest).
@@ -157,11 +158,17 @@ class MetricStore:
             return cached
         return _normalize_labels(labels)
 
+    def _new_series(self, key: tuple[str, Labels]) -> _SeriesBuffer:
+        """Create the series ``key`` in both the flat map and the metric index."""
+        buf = self._series[key] = _SeriesBuffer()
+        self._by_metric.setdefault(key[0], []).append((key[1], buf))
+        return buf
+
     def _buffer(self, metric: str, labels: dict[str, str] | Labels | None) -> _SeriesBuffer:
         key = (metric, self._normalize_cached(labels))
         buf = self._series.get(key)
         if buf is None:
-            buf = self._series[key] = _SeriesBuffer()
+            buf = self._new_series(key)
         return buf
 
     def series_handle(
@@ -212,8 +219,11 @@ class MetricStore:
         labels: dict[str, str] | Labels | None,
         series: TimeSeries,
     ) -> None:
-        """Append a whole series at once (bulk ingest)."""
-        self._buffer(metric, labels).extend(series.timestamps, series.values)
+        """Append a whole series at once (bulk ingest, one buffer copy)."""
+        self._buffer(metric, labels).extend_columns(
+            np.asarray(series.timestamps, dtype=float),
+            np.asarray(series.values, dtype=float),
+        )
 
     def append_columns(
         self,
@@ -262,7 +272,7 @@ class MetricStore:
             key = (metric, normalized)
             buf = series.get(key)
             if buf is None:
-                buf = series[key] = _SeriesBuffer()
+                buf = self._new_series(key)
             buf._ts.append(timestamp)
             buf._vs.append(value)
             buf._finalized = None
@@ -305,7 +315,7 @@ class MetricStore:
             key = (metric, normalized)
             buf = series.get(key)
             if buf is None:
-                buf = series[key] = _SeriesBuffer()
+                buf = self._new_series(key)
             buf._ts.frombytes(ts.tobytes())
             buf._vs.frombytes(vs.tobytes())
             buf._finalized = None
@@ -316,13 +326,13 @@ class MetricStore:
 
     def metrics(self) -> list[str]:
         """Distinct metric names, sorted."""
-        return sorted({metric for metric, _ in self._series})
+        return sorted(self._by_metric)
 
     def series_count(self, metric: str | None = None) -> int:
         """Number of stored series, optionally for one metric."""
         if metric is None:
             return len(self._series)
-        return sum(1 for m, _ in self._series if m == metric)
+        return len(self._by_metric.get(metric, ()))
 
     def sample_count(self) -> int:
         """Total samples across every series."""
@@ -330,7 +340,7 @@ class MetricStore:
 
     def labelsets(self, metric: str) -> list[dict[str, str]]:
         """All label sets stored for ``metric``."""
-        return [dict(labels) for m, labels in self._series if m == metric]
+        return [dict(labels) for labels, _ in self._by_metric.get(metric, ())]
 
     def query(
         self, metric: str, labels: dict[str, str] | Labels | None = None
@@ -376,9 +386,7 @@ class MetricStore:
         Mirrors a PromQL selector ``metric{k="v", ...}``.
         """
         wanted = (matcher or {}).items()
-        for (m, labels), buf in self._series.items():
-            if m != metric:
-                continue
+        for labels, buf in self._by_metric.get(metric, ()):
             label_dict = dict(labels)
             if all(label_dict.get(k) == v for k, v in wanted):
                 yield label_dict, buf.series()
@@ -393,20 +401,37 @@ class MetricStore:
 
         Timestamps are the union of all matched series; at each timestamp the
         aggregation runs over the series that have a sample there.
+
+        The matrix is built timestamp-major, one contiguous row per union
+        timestamp.  A string agg reduces every gap-free row (every series
+        sampled, no staleness marker) in one call along axis 1: the
+        reduction of a contiguous row runs the same kernel over the same
+        elements as a 1-D call on that row (pairwise sum for mean/sum,
+        partition and lerp for p95), so the bits equal the per-row loop's.
+        Rows with a gap, and callable aggs, take the per-row loop.
         """
         agg_fn = _resolve_agg(agg)
-        all_series = [s for _, s in self.select(metric, matcher)]
+        # An empty series adds no sample anywhere, only a gap in every row.
+        all_series = [s for _, s in self.select(metric, matcher) if len(s)]
         if not all_series:
             return TimeSeries.empty()
         union = np.unique(np.concatenate([s.timestamps for s in all_series]))
-        values = np.full((len(all_series), len(union)), np.nan)
+        values = np.full((len(union), len(all_series)), np.nan)
         for i, s in enumerate(all_series):
-            idx = np.searchsorted(union, s.timestamps)
-            values[i, idx] = s.values
+            values[np.searchsorted(union, s.timestamps), i] = s.values
         out = np.empty(len(union))
-        for j in range(len(union)):
-            col = values[:, j]
-            present = col[~np.isnan(col)]
+        loop_rows = range(len(union))
+        if not callable(agg):
+            gaps = np.isnan(values).any(axis=1)
+            if not gaps.any():
+                return TimeSeries(union, ROW_AGGS[agg](values))
+            full = ~gaps
+            if full.any():
+                out[full] = ROW_AGGS[agg](values[full])
+            loop_rows = np.flatnonzero(gaps)
+        for j in loop_rows:
+            row = values[j]
+            present = row[~np.isnan(row)]
             # All matched series stale/absent here: propagate the marker
             # rather than aggregating an empty set.
             out[j] = agg_fn(present) if present.size else STALE
@@ -416,15 +441,7 @@ class MetricStore:
 def _resolve_agg(agg: str | Callable[[np.ndarray], float]):
     if callable(agg):
         return agg
-    table = {
-        "mean": np.mean,
-        "max": np.max,
-        "min": np.min,
-        "sum": np.sum,
-        "p95": lambda a: np.percentile(a, 95),
-        "count": len,
-    }
     try:
-        return table[agg]
+        return AGGS[agg]
     except KeyError:
-        raise ValueError(f"unknown aggregation {agg!r}; known: {sorted(table)}") from None
+        raise ValueError(f"unknown aggregation {agg!r}; known: {sorted(AGGS)}") from None

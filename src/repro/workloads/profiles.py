@@ -26,6 +26,11 @@ from repro.sampling import categorical_cdf, draw
 from repro.workloads import patterns as pat
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` by comparison; NaN passes through."""
+    return float(lo if x < lo else hi if x > hi else x)
+
+
 @dataclass(frozen=True)
 class WorkloadProfile:
     """Demand characteristics of one application class.
@@ -68,7 +73,7 @@ class WorkloadProfile:
         self, mean_level: float, rng: np.random.Generator
     ) -> pat.DemandPattern:
         """Temporal CPU pattern oscillating around ``mean_level``."""
-        mean_level = float(np.clip(mean_level, 0.01, 0.99))
+        mean_level = _clamp(mean_level, 0.01, 0.99)
         if self.cpu_pattern_kind == "constant":
             base = pat.constant(mean_level)
         elif self.cpu_pattern_kind == "diurnal":
@@ -91,13 +96,13 @@ class WorkloadProfile:
             base = pat.bursty(
                 base=mean_level * 0.3,
                 burst_level=burst,
-                burst_probability=float(np.clip(prob, 0.02, 0.9)),
+                burst_probability=_clamp(prob, 0.02, 0.9),
                 rng=rng,
                 correlation=int(rng.integers(2, 12)),
             )
         elif self.cpu_pattern_kind == "ramp":
             drift = float(rng.uniform(-0.3, 0.5))
-            end = float(np.clip(mean_level + drift, 0.02, 0.98))
+            end = _clamp(mean_level + drift, 0.02, 0.98)
             base = pat.ramp(mean_level, end, duration=20 * pat.SECONDS_PER_DAY)
         elif self.cpu_pattern_kind == "spiky":
             base = pat.composite(
@@ -121,7 +126,7 @@ class WorkloadProfile:
         self, mean_level: float, rng: np.random.Generator
     ) -> pat.DemandPattern:
         """Temporal memory pattern: mostly flat, optional slow growth."""
-        mean_level = float(np.clip(mean_level, 0.02, 0.99))
+        mean_level = _clamp(mean_level, 0.02, 0.99)
         if rng.random() < (1.0 - self.mem_stability):
             # Slow memory growth: caches/heaps filling over days (§5.2).
             start = mean_level * float(rng.uniform(0.85, 0.98))

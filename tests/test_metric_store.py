@@ -1,5 +1,8 @@
 """Tests for the MetricStore: label indexing, range queries, aggregation."""
 
+import hashlib
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -210,3 +213,126 @@ def test_property_store_read_is_sorted_dedup(points):
     assert len(series) == len(last)
     for t, v in zip(series.timestamps, series.values):
         assert last[int(t)] == v
+
+
+def _interleaved_store():
+    """A store whose series every write path creates, interleaved by metric.
+
+    Returns the store and its ``(metric, labels)`` keys in creation order.
+    """
+    store = MetricStore()
+    created = []
+
+    def write(metric, host, fn, *args):
+        key = (metric, (("host", host),))
+        if key not in created:
+            created.append(key)
+        fn(metric, {"host": host}, *args)
+
+    write("cpu", "n2", lambda m, l, t, v: store.series_handle(m, l).append(t, v), 0.0, 1.5)
+    write("mem", "n1", store.append, 0.0, 2.0)
+    write("cpu", "n1", lambda m, l: store.ingest([Sample(m, tuple(l.items()), 0.0, 0.5)]))
+    write("disk", "n1", lambda m, l: store.ingest([Sample(m, tuple(l.items()), 0.0, float("nan"))]))
+    write("cpu", "n2", lambda m, l: store.ingest([Sample(m, tuple(l.items()), 60.0, -0.0)]))
+    write(
+        "mem", "n3",
+        lambda m, l: store.ingest_blocks(
+            [SampleBlock(m, tuple(l.items()), np.array([0.0, 60.0]), np.array([1.0, 3.0]))]
+        ),
+    )
+    write(
+        "cpu", "n3",
+        lambda m, l: store.ingest_blocks(
+            [SampleBlock(m, tuple(l.items()), np.array([0.0]), np.array([7.0]))]
+        ),
+    )
+    write("disk", "n0", store.append_series, TimeSeries([0, 60, 120], [1.0, float("nan"), 2.0]))
+    write("cpu", "n0", store.append_columns, np.array([0.0, 60.0]), np.array([0.25, 0.75]))
+    write("mem", "n1", store.append_series, TimeSeries([60, 120], [2.5, 3.5]))
+    write("cpu", "n4", store.append, 0.0, 9.0)
+    return store, created
+
+
+class TestSeriesIndex:
+    def test_select_order_is_creation_order_per_metric(self):
+        store, created = _interleaved_store()
+        for metric in ("cpu", "mem", "disk"):
+            expected = [dict(labels) for m, labels in created if m == metric]
+            assert [labels for labels, _ in store.select(metric)] == expected
+            assert store.labelsets(metric) == expected
+            assert store.series_count(metric) == len(expected)
+        assert store.metrics() == ["cpu", "disk", "mem"]
+        assert store.series_count() == len(created)
+        assert list(store.select("absent")) == []
+
+    def test_select_matcher_filters_within_the_metric(self):
+        store, _ = _interleaved_store()
+        assert [labels for labels, _ in store.select("cpu", {"host": "n3"})] == [
+            {"host": "n3"}
+        ]
+        assert list(store.select("mem", {"host": "n2"})) == []
+
+    def test_content_fingerprint_unchanged(self):
+        store, created = _interleaved_store()
+        # Recomputed from the creation order, and pinned to the digest the
+        # store gave before the per-metric index existed.
+        h = hashlib.sha256()
+        for key in created:
+            buf = store._series[key]
+            h.update(repr(key).encode())
+            h.update(len(buf._ts).to_bytes(8, "little"))
+            h.update(buf._ts.tobytes())
+            h.update(buf._vs.tobytes())
+        assert store.content_fingerprint() == h.hexdigest()
+        assert store.content_fingerprint() == (
+            "0c3b093940a0c783e780c10048a5ab499355d828bbb3c3e872346aa4bf509a01"
+        )
+
+
+def _extended(items) -> bytes:
+    buf = array("d")
+    buf.extend(items)
+    return buf.tobytes()
+
+
+class TestAppendSeriesBytes:
+    """``append_series`` stores what an element-wise ``array.extend`` stored."""
+
+    @staticmethod
+    def _raw_series(ts, vs):
+        # A series holding its columns as given (TimeSeries itself would
+        # convert them to float64 first).
+        series = object.__new__(TimeSeries)
+        series.timestamps, series.values = ts, vs
+        return series
+
+    @pytest.mark.parametrize(
+        "ts, vs",
+        [
+            (np.arange(0, 600, 60, dtype=np.int64), np.linspace(-1, 1, 10)),
+            (
+                np.arange(10, dtype=float) * 30.0,
+                np.array([0.1, -0.0, np.nan, 1e-40, 3.3, 7, 8, 9, 1e30, -2.5], np.float32),
+            ),
+            (np.arange(40, dtype=float)[::4], np.arange(40, dtype=float)[1::4] * -0.5),
+            (np.arange(20, dtype=np.int32)[::-2], np.full(10, np.nan)),
+        ],
+        ids=["int-timestamps", "float32-values", "strided-views", "reversed-int32"],
+    )
+    def test_bytes_match_elementwise_extend(self, ts, vs):
+        for series in (self._raw_series(ts, vs), TimeSeries(np.sort(ts), vs)):
+            store = MetricStore()
+            store.append_series("m", {"k": "v"}, series)
+            buf = store._series[("m", (("k", "v"),))]
+            assert buf._ts.tobytes() == _extended(series.timestamps)
+            assert buf._vs.tobytes() == _extended(series.values)
+
+    def test_appends_accumulate(self):
+        store = MetricStore()
+        store.append_series("m", None, TimeSeries([0, 60], [1.0, 2.0]))
+        store.append("m", None, 120.0, 3.0)
+        store.append_series("m", None, TimeSeries([180, 240], [4.0, np.nan]))
+        buf = store._series[("m", ())]
+        assert buf._ts.tobytes() == _extended([0.0, 60.0, 120.0, 180.0, 240.0])
+        assert buf._vs.tobytes() == _extended([1.0, 2.0, 3.0, 4.0, np.nan])
+        assert np.isnan(store.query("m").values[-1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.infrastructure.flavors import default_catalog
-from repro.workloads.profiles import PROFILES, profile_for_flavor
+from repro.workloads.profiles import PROFILES, _clamp, profile_for_flavor
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +92,16 @@ class TestProfileAssignment:
     def test_gpu_flavor_mapped(self, big_rng):
         catalog = default_catalog()
         assert profile_for_flavor(catalog.get("gpu_c32_m256"), big_rng).name == "k8s_infra"
+
+
+@pytest.mark.parametrize("bounds", [(0.01, 0.99), (0.02, 0.9), (0.02, 0.98), (0.02, 0.99)])
+def test_clamp_equals_np_clip(bounds):
+    """The profiles' scalar clamp gives np.clip's result bit for bit."""
+    lo, hi = bounds
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi, np.nextafter(lo, 0), np.nextafter(hi, 1)]
+    for x in special + list(rng.uniform(-0.5, 1.5, 500)) + [np.float64(0.5), 1]:
+        want = float(np.clip(x, lo, hi))
+        got = _clamp(x, lo, hi)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)

@@ -93,6 +93,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "region_scale",
+            "duration_days",
+            "arrival_rate_per_hour",
+            "scrape_interval_s",
+            "drs_interval_s",
+        ],
+    )
+    def test_non_finite_floats_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScenarioSpec.from_dict({"topology": "paper", field: float(value)})
+
     def test_scheduler_with_live_objects_not_serialisable(self):
         spec = ScenarioSpec(scheduler=SchedulerConfig(filters=()))
         with pytest.raises(ValueError, match="filter"):
