@@ -7,6 +7,20 @@ the host scheduler model (ready time, contention) → emit the Table 4 metric
 catalogue into a :class:`~repro.telemetry.store.MetricStore` → assemble a
 :class:`~repro.core.dataset.SAPCloudDataset`.
 
+The grid path runs as array ops, with every output equal bit for bit to
+evaluating one VM and one node at a time:
+
+- demand is evaluated by
+  :func:`~repro.workloads.waveform.evaluate_windows` in blocks of VMs
+  taken in record order, drawing each VM's randomness in the order its
+  pattern closures would, so the shared generator ends where the per-VM
+  loop leaves it.  Averages, resize scaling and the adds into the node
+  accumulators stay per VM, in order;
+- node metrics resolve :data:`_CHUNK_NODES` nodes per (nodes × grid)
+  step, after the per-node disk rolls are drawn in node order;
+- Nova gauges fold each building block's (days × VMs) matrices along
+  the VM axis in record order.
+
 Calibration knobs and their paper targets are documented inline and in
 DESIGN.md.
 """
@@ -25,8 +39,9 @@ from repro.infrastructure.topology import build_region, paper_region_spec
 from repro.infrastructure.vm import VM
 from repro.sampling import categorical_cdf, draw
 from repro.simulation.hostsched import HostCpuModel
+from repro.telemetry.exporters import NODE_METRICS, node_labels
 from repro.telemetry.store import MetricStore
-from repro.telemetry.timeseries import TimeSeries
+from repro.workloads.waveform import evaluate_windows
 
 _KBPS_PER_GBPS = 1e6  # 1 Gbit/s = 1e6 kbit/s
 
@@ -378,18 +393,33 @@ def _select_hotspots(
 
 # -- demand accumulation -------------------------------------------------------
 
+#: Nodes resolved together by :func:`_emit_node_metrics`: each (nodes ×
+#: grid) temporary is 184 KB on a 30-day grid at 1800 s sampling.  All
+#: nodes at once would hold a dozen of them at 1 MB per 92 nodes, the
+#: generation step's peak memory.
+_CHUNK_NODES = 16
+
+#: The node accumulator's resources, in axis-1 order: the order of
+#: :func:`~repro.workloads.waveform.evaluate_windows`' resource rows.
+_RESOURCES = ("cpu_cores", "memory_mb", "net_tx", "net_rx", "disk_gb")
+
 
 class _NodeAccumulator:
-    """Per-node demand accumulators over the sampling grid."""
+    """Per-node demand accumulated over the sampling grid.
 
-    __slots__ = ("cpu_cores", "memory_mb", "net_tx", "net_rx", "disk_gb")
+    ``demand`` is a (nodes × resources × grid) array, resources in
+    :data:`_RESOURCES` order, and each resource is also an attribute: its
+    (nodes × grid) view.  ``row`` maps a node id to its index, in the
+    order the nodes were given.
+    """
 
-    def __init__(self, n: int) -> None:
-        self.cpu_cores = np.zeros(n)
-        self.memory_mb = np.zeros(n)
-        self.net_tx = np.zeros(n)
-        self.net_rx = np.zeros(n)
-        self.disk_gb = np.zeros(n)
+    __slots__ = ("row", "demand", *_RESOURCES)
+
+    def __init__(self, node_ids: list[str], n: int) -> None:
+        self.row = {node_id: k for k, node_id in enumerate(node_ids)}
+        self.demand = np.zeros((len(node_ids), len(_RESOURCES), n))
+        for i, name in enumerate(_RESOURCES):
+            setattr(self, name, self.demand[:, i])
 
 
 def _accumulate_demand(
@@ -398,63 +428,61 @@ def _accumulate_demand(
     grid: np.ndarray,
     config: GeneratorConfig,
     store: MetricStore,
-) -> dict[str, _NodeAccumulator]:
+) -> _NodeAccumulator:
     """Evaluate every VM's demand and add it to its node's accumulators.
 
     Also fills each record's lifetime-average utilisation ratios (Fig 14)
     and stores full VM-level series for the first ``vm_series_limit`` VMs.
+    Demand is evaluated in blocks of VMs
+    (:func:`~repro.workloads.waveform.evaluate_windows`); the averages,
+    resize scaling and node adds stay per VM, in record order, so every
+    node row is the same left fold as one VM at a time.
     """
-    acc = {node.node_id: _NodeAccumulator(len(grid)) for node in nodes}
+    acc = _NodeAccumulator([node.node_id for node in nodes], len(grid))
+    grid = np.asarray(grid, dtype=float)
+    created = np.maximum([r.created_at for r in placed], grid[0])
+    i0s = np.searchsorted(grid, created, side="left").tolist()
+    i1s = np.searchsorted(grid, [r.deleted_or_inf for r in placed], side="left").tolist()
+    windows = []
+    for record, i0, i1 in zip(placed, i0s, i1s):
+        if i1 > i0:
+            windows.append((i0, i1))
+        else:
+            # Lifetime falls between samples; derive ratios from a probe.
+            start = max(record.created_at, grid[0])
+            end = min(record.deleted_or_inf, config.window_end)
+            windows.append(np.linspace(start, end, 8))
+    evaluated = evaluate_windows([r.demand for r in placed], windows, grid)
+
     stored_series = 0
-    for record in placed:
-        start = max(record.created_at, grid[0])
-        end = record.deleted_or_inf
-        i0 = int(np.searchsorted(grid, start, side="left"))
-        i1 = int(np.searchsorted(grid, end, side="left"))
+    for record, i0, i1, (cpu_ratio, mem_ratio, demand) in zip(placed, i0s, i1s, evaluated):
+        record.demand_cpu_avg = float(np.mean(cpu_ratio))
+        record.demand_mem_avg = float(np.mean(mem_ratio))
         if i1 <= i0:
-            # Lifetime falls between samples; derive ratios directly.
-            probe = np.linspace(start, min(end, config.window_end), 8)
-            snapshot = record.demand.evaluate(probe)
-            record.demand_cpu_avg = float(np.mean(snapshot.cpu_ratio))
-            record.demand_mem_avg = float(np.mean(snapshot.memory_ratio))
             continue
         window_grid = grid[i0:i1]
-        snapshot = record.demand.evaluate(window_grid)
-        record.demand_cpu_avg = float(np.mean(snapshot.cpu_ratio))
-        record.demand_mem_avg = float(np.mean(snapshot.memory_ratio))
-        _apply_resize_scaling(record, window_grid, snapshot)
-
-        segments = _node_segments(record, window_grid)
-        for node_id, seg0, seg1 in segments:
-            node_acc = acc.get(node_id)
-            if node_acc is None:
-                continue
-            sl_local = slice(seg0, seg1)
-            sl_global = slice(i0 + seg0, i0 + seg1)
-            node_acc.cpu_cores[sl_global] += snapshot.cpu_cores[sl_local]
-            node_acc.memory_mb[sl_global] += snapshot.memory_mb[sl_local]
-            node_acc.net_tx[sl_global] += snapshot.network_tx_kbps[sl_local]
-            node_acc.net_rx[sl_global] += snapshot.network_rx_kbps[sl_local]
-            node_acc.disk_gb[sl_global] += snapshot.disk_gb[sl_local]
+        _apply_resize_scaling(record, window_grid, demand)
+        demand = np.asarray(demand)
+        for node_id, seg0, seg1 in _node_segments(record, window_grid):
+            k = acc.row.get(node_id)
+            if k is not None:
+                acc.demand[k, :, i0 + seg0 : i0 + seg1] += demand[:, seg0:seg1]
 
         if stored_series < config.vm_series_limit:
             labels = {"virtualmachine": record.vm_id, "hostsystem": record.node_id or ""}
-            store.append_series(
-                "vrops_virtualmachine_cpu_usage_ratio",
-                labels,
-                TimeSeries(window_grid, snapshot.cpu_ratio),
+            store.append_columns(
+                "vrops_virtualmachine_cpu_usage_ratio", labels, window_grid, cpu_ratio
             )
-            store.append_series(
-                "vrops_virtualmachine_memory_consumed_ratio",
-                labels,
-                TimeSeries(window_grid, snapshot.memory_ratio),
+            store.append_columns(
+                "vrops_virtualmachine_memory_consumed_ratio", labels, window_grid, mem_ratio
             )
             stored_series += 1
     return acc
 
 
-def _apply_resize_scaling(record: VMRecord, window_grid, snapshot) -> None:
-    """Scale absolute demand from each resize instant onward.
+def _apply_resize_scaling(record: VMRecord, window_grid, demand) -> None:
+    """Scale absolute demand (five resource rows, :data:`_RESOURCES`
+    order) from each resize instant onward, in place.
 
     Utilisation *ratios* stay unchanged (the workload keeps the same
     relative intensity against its new allocation); the absolute cores,
@@ -466,10 +494,8 @@ def _apply_resize_scaling(record: VMRecord, window_grid, snapshot) -> None:
             continue
         cpu_ratio = new_flavor.vcpus / old_flavor.vcpus
         mem_ratio = new_flavor.ram_mb / old_flavor.ram_mb
-        snapshot.cpu_cores[split:] *= cpu_ratio
-        snapshot.memory_mb[split:] *= mem_ratio
-        snapshot.network_tx_kbps[split:] *= cpu_ratio
-        snapshot.network_rx_kbps[split:] *= cpu_ratio
+        for row, ratio in ((0, cpu_ratio), (1, mem_ratio), (2, cpu_ratio), (3, cpu_ratio)):
+            demand[row][split:] *= ratio
 
 
 def _node_segments(
@@ -497,76 +523,102 @@ def _node_segments(
 # -- metric emission -----------------------------------------------------------
 
 
-def _node_labels(node: ComputeNode) -> dict[str, str]:
-    return {
-        "hostsystem": node.node_id,
-        "building_block": node.building_block,
-        "datacenter": node.datacenter,
-        "availability_zone": node.az,
-    }
+def _disk_base_fraction(rng: np.random.Generator) -> float:
+    """A node's static local-disk share (images, logs).
+
+    Local storage: VM volumes live on external block storage (Cinder);
+    only an ephemeral/cache share (~8%) of VM disk hits the node's local
+    disks, on top of this base, calibrated to Fig 13: ~18% of hosts stay
+    >90% free and ~7% exceed 30% used.
+    """
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.uniform(0.0, 0.045)
+    if roll < 0.22:
+        return rng.uniform(0.32, 0.60)
+    return rng.uniform(0.11, 0.27)
 
 
 def _emit_node_metrics(
     nodes: list[ComputeNode],
-    acc: dict[str, _NodeAccumulator],
+    acc: _NodeAccumulator,
     grid: np.ndarray,
     hotspots: dict[str, tuple[float, float]],
     store: MetricStore,
     config: GeneratorConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Resolve accumulated demand into the vrops_hostsystem_* series."""
+    """Resolve accumulated demand into the vrops_hostsystem_* series.
+
+    The only draws, each node's disk roll, are taken first in node order;
+    then nodes are resolved :data:`_CHUNK_NODES` at a time, one row per
+    node, and their series appended in node order.
+    """
+    grid = np.asarray(grid, dtype=float)
     # One "exceptional situation" (Fig 8's ~30-minute outliers early in the
     # window): the hottest node briefly doubles its demand on day 1-2.
     incident_node = (
         max(hotspots, key=lambda n: hotspots[n][1]) if hotspots else None
     )
     incident_mask = (grid >= grid[0] + 86_400) & (grid < grid[0] + 2 * 86_400)
-    for node in nodes:
-        a = acc[node.node_id]
-        model = HostCpuModel(node.physical.vcpus, efficiency=0.97)
-        multiplier, offset = hotspots.get(node.node_id, (1.0, 0.0))
-        demand = a.cpu_cores * multiplier + offset * model.usable_cores
-        if node.node_id == incident_node:
-            demand = demand * np.where(incident_mask, 2.0, 1.0)
+    base_fraction = [_disk_base_fraction(rng) for _ in nodes]
+
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float)[:, None]
+
+    for g0 in range(0, len(nodes), _CHUNK_NODES):
+        group = nodes[g0 : g0 + _CHUNK_NODES]
+        rows = [acc.row[node.node_id] for node in group]
+        physical = [node.physical for node in group]
+        model = HostCpuModel(column([p.vcpus for p in physical]), efficiency=0.97)
+        inflation = [hotspots.get(node.node_id, (1.0, 0.0)) for node in group]
+        multiplier = column([m for m, _ in inflation])
+        offset = column([o for _, o in inflation])
+        demand = acc.cpu_cores[rows] * multiplier + offset * model.usable_cores
+        for k, node in enumerate(group):
+            if node.node_id == incident_node:
+                demand[k] = demand[k] * np.where(incident_mask, 2.0, 1.0)
         used_frac, ready_ms, contention = model.resolve_series(
             demand, config.sampling_seconds
         )
         # Hypervisor overhead floor of ~2% CPU and ~4% memory.
         used_frac = np.clip(used_frac + 0.02, 0.0, 1.0)
         mem_frac = np.clip(
-            a.memory_mb / node.physical.memory_mb + 0.04, 0.0, 1.0
+            acc.memory_mb[rows] / column([p.memory_mb for p in physical]) + 0.04, 0.0, 1.0
         )
-        nic_kbps = node.physical.network_gbps * _KBPS_PER_GBPS
-        tx = np.clip(a.net_tx, 0.0, nic_kbps)
-        rx = np.clip(a.net_rx, 0.0, nic_kbps)
-        # Local storage: VM volumes live on external block storage (Cinder);
-        # only an ephemeral/cache share (~8%) of VM disk hits the node's
-        # local disks, on top of a static base (images, logs) calibrated to
-        # Fig 13: ~18% of hosts stay >90% free and ~7% exceed 30% used.
-        roll = rng.random()
-        if roll < 0.15:
-            base_fraction = rng.uniform(0.0, 0.045)
-        elif roll < 0.22:
-            base_fraction = rng.uniform(0.32, 0.60)
-        else:
-            base_fraction = rng.uniform(0.11, 0.27)
+        nic_kbps = column([p.network_gbps for p in physical]) * _KBPS_PER_GBPS
+        tx = np.clip(acc.net_tx[rows], 0.0, nic_kbps)
+        rx = np.clip(acc.net_rx[rows], 0.0, nic_kbps)
+        local_disk = column([p.disk_gb for p in physical])
         disk_gb = np.clip(
-            0.08 * a.disk_gb + base_fraction * node.physical.disk_gb,
+            0.08 * acc.disk_gb[rows] + column(base_fraction[g0 : g0 + len(group)]) * local_disk,
             0.0,
-            node.physical.disk_gb,
+            local_disk,
         )
-        labels = _node_labels(node)
-        for metric, values in (
-            ("vrops_hostsystem_cpu_core_utilization_percentage", 100.0 * used_frac),
-            ("vrops_hostsystem_cpu_contention_percentage", 100.0 * contention),
-            ("vrops_hostsystem_cpu_ready_milliseconds", ready_ms),
-            ("vrops_hostsystem_memory_usage_percentage", 100.0 * mem_frac),
-            ("vrops_hostsystem_network_bytes_tx_kbps", tx),
-            ("vrops_hostsystem_network_bytes_rx_kbps", rx),
-            ("vrops_hostsystem_diskspace_usage_gigabytes", disk_gb),
-        ):
-            store.append_series(metric, labels, TimeSeries(grid, values))
+        columns = (
+            100.0 * used_frac,
+            100.0 * contention,
+            ready_ms,
+            100.0 * mem_frac,
+            tx,
+            rx,
+            disk_gb,
+        )
+        for k, node in enumerate(group):
+            labels = node_labels(node)
+            for metric, values in zip(NODE_METRICS, columns):
+                store.append_columns(metric, labels, grid, values[k])
+
+
+def _resident_fold(values: np.ndarray) -> np.ndarray:
+    """Row sums of a (days × VMs) matrix as a left fold in VM order.
+
+    ``cumsum`` along the contiguous VM axis adds one VM at a time, as the
+    per-VM loop did; ``np.sum`` there would be pairwise.
+    """
+    if values.shape[1] == 0:
+        return np.zeros(len(values))
+    return np.cumsum(values, axis=1)[:, -1]
 
 
 def _emit_nova_gauges(
@@ -585,48 +637,47 @@ def _emit_nova_gauges(
     for bb in region.iter_building_blocks():
         residents = by_bb.get(bb.bb_id, [])
         allocatable = bb.overcommit.allocatable(bb.physical())
-        vcpus_used = np.zeros(len(days))
-        mem_used = np.zeros(len(days))
-        for record in residents:
-            alive = (np.asarray(days) >= record.created_at) & (
-                np.asarray(days) < record.deleted_or_inf
-            )
-            vcpus = np.full(len(days), float(record.flavor.vcpus))
-            mem = np.full(len(days), float(record.flavor.ram_mb))
+        # (days × residents) matrices, one column per VM in record order.
+        alive = (days[:, None] >= np.array([r.created_at for r in residents])) & (
+            days[:, None] < np.array([r.deleted_or_inf for r in residents])
+        )
+        vcpus = np.empty(alive.shape)
+        vcpus[:] = np.array([float(r.flavor.vcpus) for r in residents])
+        mem = np.empty(alive.shape)
+        mem[:] = np.array([float(r.flavor.ram_mb) for r in residents])
+        for j, record in enumerate(residents):
             for when, _old, new_flavor in record.resizes:
-                after = np.asarray(days) >= when
-                vcpus[after] = new_flavor.vcpus
-                mem[after] = new_flavor.ram_mb
-            vcpus_used += alive * vcpus
-            mem_used += alive * mem
-            total_alive += alive
+                after = days >= when
+                vcpus[after, j] = new_flavor.vcpus
+                mem[after, j] = new_flavor.ram_mb
+        vcpus_used = _resident_fold(alive * vcpus)
+        mem_used = _resident_fold(alive * mem)
+        # Alive counts are exact integers, whatever the order of the adds.
+        total_alive += alive.sum(axis=1)
         labels = {
             "compute_host": bb.bb_id,
             "datacenter": bb.datacenter,
             "availability_zone": bb.az,
         }
-        store.append_series(
+        store.append_columns(
             "openstack_compute_nodes_vcpus_gauge",
             labels,
-            TimeSeries(days, np.full(len(days), allocatable.vcpus)),
+            days,
+            np.full(len(days), allocatable.vcpus),
         )
-        store.append_series(
-            "openstack_compute_nodes_vcpus_used_gauge",
-            labels, TimeSeries(days, vcpus_used),
-        )
-        store.append_series(
+        store.append_columns("openstack_compute_nodes_vcpus_used_gauge", labels, days, vcpus_used)
+        store.append_columns(
             "openstack_compute_nodes_memory_mb_gauge",
             labels,
-            TimeSeries(days, np.full(len(days), allocatable.memory_mb)),
+            days,
+            np.full(len(days), allocatable.memory_mb),
         )
-        store.append_series(
-            "openstack_compute_nodes_memory_mb_used_gauge",
-            labels, TimeSeries(days, mem_used),
-        )
-    store.append_series(
+        store.append_columns("openstack_compute_nodes_memory_mb_used_gauge", labels, days, mem_used)
+    store.append_columns(
         "openstack_compute_instances_total",
         {"region": region.region_id},
-        TimeSeries(days, total_alive),
+        days,
+        total_alive,
     )
 
 
@@ -690,6 +741,16 @@ def _vms_frame(placed: list[VMRecord], config: GeneratorConfig) -> Frame:
     return Frame.from_records(records)
 
 
+def _host_at(record: VMRecord, when: float) -> str:
+    """The node ``record`` runs on at ``when``: the target of its last
+    migration by then, else the node it was placed on."""
+    host = record.node_id or ""
+    for moved_at, _source, target in sorted(record.migrations):
+        if moved_at <= when:
+            host = target
+    return host
+
+
 def _events_frame(placed: list[VMRecord], config: GeneratorConfig) -> Frame:
     events = []
     for r in placed:
@@ -729,7 +790,7 @@ def _events_frame(placed: list[VMRecord], config: GeneratorConfig) -> Frame:
                     "time": r.deleted_at,
                     "event": "delete",
                     "vm_id": r.vm_id,
-                    "source": r.node_id or "",
+                    "source": _host_at(r, r.deleted_at),
                     "target": "",
                 }
             )

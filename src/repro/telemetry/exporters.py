@@ -41,7 +41,7 @@ class VMUsage:
     memory_consumed_ratio: float  # used / requested memory, 0..1+
 
 
-def _node_labels(node: ComputeNode) -> dict[str, str]:
+def node_labels(node: ComputeNode) -> dict[str, str]:
     return {
         "hostsystem": node.node_id,
         "building_block": node.building_block,
@@ -52,7 +52,7 @@ def _node_labels(node: ComputeNode) -> dict[str, str]:
 
 #: Host-level vROps metrics in emission order (the order ``scrape_node``
 #: lists them, hence the order their series appear in the store).
-_NODE_METRICS = (
+NODE_METRICS = (
     "vrops_hostsystem_cpu_core_utilization_percentage",
     "vrops_hostsystem_cpu_contention_percentage",
     "vrops_hostsystem_cpu_ready_milliseconds",
@@ -95,9 +95,9 @@ class VropsExporter:
             self._node_handles = {}
         handles = self._node_handles.get(node.node_id)
         if handles is None:
-            labels = tuple(sorted(_node_labels(node).items()))
+            labels = tuple(sorted(node_labels(node).items()))
             handles = self._node_handles[node.node_id] = tuple(
-                store.series_handle(metric, labels) for metric in _NODE_METRICS
+                store.series_handle(metric, labels) for metric in NODE_METRICS
             )
         h_cpu, h_cont, h_ready, h_mem, h_tx, h_rx, h_disk = handles
         h_cpu.append(timestamp, 100.0 * usage.cpu_used_fraction)
@@ -113,7 +113,7 @@ class VropsExporter:
         self, node: ComputeNode, usage: NodeUsage, timestamp: float
     ) -> list[Sample]:
         """All host-level vROps samples for one node at one instant."""
-        labels = tuple(sorted(_node_labels(node).items()))
+        labels = tuple(sorted(node_labels(node).items()))
         return [
             Sample(
                 "vrops_hostsystem_cpu_core_utilization_percentage",

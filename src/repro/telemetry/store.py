@@ -10,8 +10,9 @@ Python objects — and is finalised into sorted numpy arrays lazily on
 first read.  Every bulk write (``append_series``, ``append_columns``,
 ``ingest_blocks``) copies float64 columns in with one ``frombytes``.
 Besides the flat ``(metric, labels)`` map, the store keeps a per-metric
-list of series in creation order, so a selector scans only its own
-metric's series.  Staleness markers are NaN sentinels
+list of series in creation order, each with its label dict built once,
+so a selector scans only its own metric's series.  Staleness markers are
+NaN sentinels
 (:data:`~repro.telemetry.timeseries.STALE`) stored inline in the value
 column, so they survive every bulk path untouched.  Window reads go
 through an LRU cache that is invalidated by appends (the cache key
@@ -139,8 +140,9 @@ class MetricStore:
 
     def __init__(self) -> None:
         self._series: dict[tuple[str, Labels], _SeriesBuffer] = {}
-        #: The same buffers per metric, in series-creation order.
-        self._by_metric: dict[str, list[tuple[Labels, _SeriesBuffer]]] = {}
+        #: The same buffers per metric, in series-creation order, each
+        #: with its labels as a dict (built once, read by selectors).
+        self._by_metric: dict[str, list[tuple[dict[str, str], _SeriesBuffer]]] = {}
         #: Memo of already-normalized label tuples (exporters emit the
         #: same tuples over and over; sorting them each time dominates
         #: per-sample ingest).
@@ -161,7 +163,7 @@ class MetricStore:
     def _new_series(self, key: tuple[str, Labels]) -> _SeriesBuffer:
         """Create the series ``key`` in both the flat map and the metric index."""
         buf = self._series[key] = _SeriesBuffer()
-        self._by_metric.setdefault(key[0], []).append((key[1], buf))
+        self._by_metric.setdefault(key[0], []).append((dict(key[1]), buf))
         return buf
 
     def _buffer(self, metric: str, labels: dict[str, str] | Labels | None) -> _SeriesBuffer:
@@ -381,15 +383,16 @@ class MetricStore:
     def select(
         self, metric: str, matcher: dict[str, str] | None = None
     ) -> Iterator[tuple[dict[str, str], TimeSeries]]:
-        """All series of ``metric`` whose labels include ``matcher``.
+        """All series of ``metric`` whose labels include ``matcher``, in
+        creation order.
 
-        Mirrors a PromQL selector ``metric{k="v", ...}``.
+        Mirrors a PromQL selector ``metric{k="v", ...}``: a series matches
+        when ``labels.get(k) == v`` for every pair.
         """
         wanted = (matcher or {}).items()
-        for labels, buf in self._by_metric.get(metric, ()):
-            label_dict = dict(labels)
+        for label_dict, buf in self._by_metric.get(metric, ()):
             if all(label_dict.get(k) == v for k, v in wanted):
-                yield label_dict, buf.series()
+                yield dict(label_dict), buf.series()
 
     def aggregate_across(
         self,

@@ -40,6 +40,13 @@ builds, takes the one-element fallback.  Bases and noise run on every
 read, so the count and order of shared-RNG draws are exactly those of the
 numpy path.
 
+Datagen evaluates every VM over its window of one sampling grid through
+:func:`evaluate_windows`, from the same metadata: :func:`_read_channel`
+is the one reader of a channel's shape (kind, parameters, generators),
+shared by the table rows below and the grid blocks.  It keeps a ramp's
+end level and duration and a bursty shape's correlation, which a
+single-timestamp read does not use.
+
 The scrape tick reads every resident VM at once through a
 :class:`DemandTable`, and DRS reads each node-load pass and each source
 scan the same way (``repro.simulation.runner.DrsLoad``).
@@ -220,8 +227,9 @@ def _split_noise(pattern) -> tuple[object, float, np.random.Generator | None]:
 
 # -- batch rows ---------------------------------------------------------------
 
-#: The base shapes a row holds, and the kind of a VM without a row.
-_CONST, _DIURNAL, _BURSTY, _SPIKE, _OPAQUE = 0.0, 1.0, 2.0, 3.0, -1.0
+#: The base shapes a row holds, and the kind of a VM without a row.  A
+#: single-timestamp read treats a ramp as a constant at its start level.
+_CONST, _DIURNAL, _BURSTY, _SPIKE, _RAMP, _OPAQUE = 0.0, 1.0, 2.0, 3.0, 4.0, -1.0
 #: Row layout: (vcpus, ram_mb, net_rate, disk_gb), then one block of
 #: (kind, sigma, six shape parameters) for cpu and one for memory.
 _CPU = 4
@@ -237,17 +245,24 @@ def _kind(pattern) -> str | None:
 def _shape_row(base) -> tuple[float, tuple, object] | None:
     """``(kind, params, rng)`` of a base shape a row can hold, else None.
 
-    ``rng`` is the generator the shape itself draws from (bursty only).
-    Parameters: constant/ramp ``(level,)``; diurnal × weekly ``(base,
-    swing, peak_hour, width_hours, weekday_scale, weekend_scale)``; bursty
-    ``(base, burst_level, burst_probability)``; max(constant, spike)
-    ``(level, base, spike_level, period, spike_width, phase)``.
+    The one reader of the shape metadata, shared by the table rows and
+    the grid blocks (:func:`_read_channel`).  ``rng`` is the
+    generator the shape itself draws from (bursty only).  Parameters:
+    constant ``(level,)``; ramp ``(start_level, end_level, duration)``;
+    diurnal × weekly ``(base, swing, peak_hour, width_hours,
+    weekday_scale, weekend_scale)``; bursty ``(base, burst_level,
+    burst_probability, correlation)``; max(constant, spike) ``(level,
+    base, spike_level, period, spike_width, phase)``.  A single-timestamp
+    read uses only the first parameter of a ramp (its start level, since
+    progress is measured from ``ts[0]``) and the first three of a bursty.
     """
     kind = _kind(base)
-    if kind in ("constant", "ramp"):
+    if kind == "constant":
         return _CONST, (float(base.basis[1]),), None
+    if kind == "ramp":
+        return _RAMP, tuple(float(x) for x in base.basis[1:4]), None
     if kind == "bursty" and getattr(base, "rng", None) is not None:
-        return _BURSTY, tuple(float(x) for x in base.basis[1:4]), base.rng
+        return _BURSTY, tuple(float(x) for x in base.basis[1:5]), base.rng
     if kind == "composite":
         children = getattr(base, "children", ())
         kinds = tuple(_kind(c) for c in children)
@@ -262,15 +277,47 @@ def _shape_row(base) -> tuple[float, tuple, object] | None:
     return None
 
 
+def _read_channel(pattern) -> tuple[float, tuple, object, float, object] | None:
+    """``(kind, params, shape_rng, sigma, noise_rng)`` of one demand
+    channel that is a row shape (:func:`_shape_row`) under a top-level
+    noise, else None.
+
+    ``shape_rng`` is the generator the shape draws from (bursty only,
+    else None); ``noise_rng`` the one its Gaussian noise draws from.
+    """
+    base, sigma, noise_rng = _split_noise(pattern)
+    if noise_rng is None:
+        return None
+    shape = _shape_row(base)
+    if shape is None:
+        return None
+    return (*shape, float(sigma), noise_rng)
+
+
 def _channel_row(pattern, rng) -> tuple | None:
     """One channel's ``(kind, sigma, *params)`` block when it is a row
     shape under a top-level noise, all drawing from ``rng``; else None."""
-    base, sigma, noise_rng = _split_noise(pattern)
-    shape = _shape_row(base) if noise_rng is rng else None
-    if shape is None or shape[2] is not None and shape[2] is not rng:
+    channel = _read_channel(pattern)
+    if channel is None:
         return None
-    kind, params, _ = shape
-    return (kind, float(sigma), *params, *(0.0,) * (6 - len(params)))
+    kind, params, shape_rng, sigma, noise_rng = channel
+    if noise_rng is not rng or shape_rng is not None and shape_rng is not rng:
+        return None
+    return _padded(kind, sigma, params)
+
+
+def _padded(kind: float, sigma: float, params: tuple) -> tuple:
+    """A channel block: ``(kind, sigma)`` and six shape parameters."""
+    return (kind, sigma, *params, *(0.0,) * (6 - len(params)))
+
+
+def _scale(demand: VMDemand) -> tuple[float, float, float, float]:
+    """``(vcpus, ram_mb, net_rate, disk_gb)``: what a VM's clipped ratios
+    are multiplied by, in the association order of ``VMDemand.evaluate``'s
+    products."""
+    flavor = demand.flavor
+    net_rate = demand.network_activity * demand.profile.network_kbps_per_vcpu * flavor.vcpus
+    return flavor.vcpus, flavor.ram_mb, net_rate, demand.disk_used_fraction * flavor.disk_gb
 
 
 class CompiledDemand:
@@ -307,15 +354,7 @@ class CompiledDemand:
         mem_base, self._mem_sigma, mem_rng = _split_noise(demand.mem_pattern)
         self._mem_base = compile_pattern(mem_base)
         self._mem_normal = mem_rng.normal if mem_rng is not None else None
-        self._vcpus = demand.flavor.vcpus
-        self._ram_mb = demand.flavor.ram_mb
-        # Same association order as VMDemand.evaluate's product.
-        self._net_rate = (
-            demand.network_activity
-            * demand.profile.network_kbps_per_vcpu
-            * demand.flavor.vcpus
-        )
-        self._disk_gb = demand.disk_used_fraction * demand.flavor.disk_gb
+        self._vcpus, self._ram_mb, self._net_rate, self._disk_gb = _scale(demand)
 
     def row(self, rng: np.random.Generator) -> tuple | None:
         """This VM's :class:`DemandTable` row, read from the same
@@ -366,7 +405,7 @@ def _channel_values(block, noise, uniforms, t: float, hour: float, weekend: bool
     base functions and clip branches above, as array ops."""
     kind = block[:, 0]
     p = block[:, 2:]
-    base = p[:, 0].copy()  # constant and ramp: the level
+    base = p[:, 0].copy()  # constant and ramp: the (start) level
     sel = (kind == _DIURNAL).nonzero()[0]
     if sel.size:
         q = p[sel]
@@ -387,6 +426,179 @@ def _channel_values(block, noise, uniforms, t: float, hour: float, weekend: bool
     x = base + noise
     x = np.where(x < 0.0, 0.0, x)
     return np.where(x > 1.0, 1.0, x)
+
+
+# -- grid blocks --------------------------------------------------------------
+
+#: Demands per block of :func:`evaluate_windows`.  Over a 30-day grid at
+#: 1800 s sampling a block's channel rows (two per demand) take 1.5 MB and
+#: its resource rows (five per demand), the largest temporary, 3.7 MB.
+_GRID_BLOCK = 64
+
+
+def evaluate_windows(demands, windows, grid):
+    """Yield ``(cpu_ratio, memory_ratio, columns)`` for each of ``demands``
+    over its window of ``grid``, in order.
+
+    A window is ``(i0, i1)`` with ``i0 < i1``, the slice ``grid[i0:i1]``;
+    an array of timestamps instead is evaluated by the demand's own
+    ``evaluate`` at its place in the walk.  ``columns`` are the five
+    resource rows ``(cpu_cores, memory_mb, network_tx_kbps,
+    network_rx_kbps, disk_gb)``, writable: a view of the block, or the
+    list of a snapshot's own arrays (so in-place scaling keeps their
+    dtype).  Everything equals, bit for bit, ``demand.evaluate`` called on
+    each window in turn, and leaves every generator where those calls
+    would.
+
+    Demands go in blocks of :data:`_GRID_BLOCK`, each drawn when its first
+    result is asked for.  A first pass walks the block drawing each
+    demand's randomness exactly as its closures do: per channel (cpu, then
+    memory) a bursty shape's uniforms, then the noise Gaussians, straight
+    into the channel's row of the block.  A demand :func:`_grid_channels`
+    cannot read calls its own ``evaluate`` at that point of the walk.  A
+    second pass evaluates each base shape for all of its rows in one
+    broadcast op (:func:`_grid_bases`), and one noise add, one clip and
+    one scaling cover the block.
+    """
+    grid = np.asarray(grid, dtype=float)
+    # The diurnal and weekly closures' hour of day and weekend flag.
+    hour = (grid % SECONDS_PER_DAY) / 3600.0
+    weekend = (np.floor(grid / SECONDS_PER_DAY).astype(int) + 3) % 7 >= 5
+    for c0 in range(0, len(demands), _GRID_BLOCK):
+        c1 = c0 + _GRID_BLOCK
+        yield from _evaluate_block(demands[c0:c1], windows[c0:c1], grid, hour, weekend)
+
+
+def _grid_channels(demand) -> tuple | None:
+    """Both channels' :func:`_read_channel` tuples when a grid block can
+    reproduce them, else None."""
+    if type(demand) is not VMDemand:
+        return None
+    channels = (_read_channel(demand.cpu_pattern), _read_channel(demand.mem_pattern))
+    for channel in channels:
+        if channel is None:
+            return None
+        kind, params, shape_rng, _sigma, noise_rng = channel
+        if not isinstance(noise_rng, np.random.Generator):
+            return None
+        if kind == _BURSTY and not (
+            isinstance(shape_rng, np.random.Generator)
+            and params[3] >= 1.0
+            and params[3].is_integer()
+        ):
+            # np.repeat truncates a fractional correlation; leave it to
+            # the closure.
+            return None
+    return channels
+
+
+def _evaluate_block(demands, windows, grid, hour, weekend):
+    """:func:`evaluate_windows` for one block."""
+    n = len(demands)
+    spans = [w for w in windows if not isinstance(w, np.ndarray)]
+    lo = min((i0 for i0, _ in spans), default=0)
+    width = max((i1 for _, i1 in spans), default=lo) - lo
+    gauss = np.zeros((2 * n, width))
+    uniforms = None
+    # Per channel row: its channel block (:func:`_padded`), then the
+    # window's first block column and first timestamp.  Rows not
+    # evaluated here stay constant zero.
+    table = [(*_padded(_CONST, 0.0, ()), 0, 0.0)] * (2 * n)
+    scale = [(0.0, 0.0, 0.0, 0.0)] * n
+    own = {}  # position -> snapshot of a demand evaluated by itself
+    for r, (demand, window) in enumerate(zip(demands, windows)):
+        if isinstance(window, np.ndarray):
+            own[r] = demand.evaluate(window)
+            continue
+        i0, i1 = window
+        channels = _grid_channels(demand)
+        if channels is None:
+            own[r] = demand.evaluate(grid[i0:i1])
+            continue
+        a, b = i0 - lo, i1 - lo
+        for j, (kind, params, shape_rng, sigma, noise_rng) in zip((2 * r, 2 * r + 1), channels):
+            if kind == _BURSTY:
+                if uniforms is None:
+                    uniforms = np.zeros((2 * n, width))
+                # ceil(window / correlation) draws, as the closure takes.
+                shape_rng.random(out=uniforms[j, : -(-(b - a) // int(params[3]))])
+            noise_rng.standard_normal(out=gauss[j, a:b])
+            table[j] = (*_padded(kind, sigma, params), a, float(grid[i0]))
+        scale[r] = _scale(demand)
+
+    if len(own) < n:
+        rows = np.array(table)
+        span = slice(lo, lo + width)
+        ratio = _grid_bases(rows, grid[span], hour[span], weekend[span], uniforms)
+        # ``rng.normal(0.0, sigma, n)`` is ``0.0 + sigma * gauss``, draw
+        # for draw; the noisy closure then adds and clips.
+        np.multiply(rows[:, 1:2], gauss, out=gauss)
+        gauss += 0.0
+        ratio += gauss
+        np.clip(ratio, 0.0, 1.0, out=ratio)
+        cpu = ratio[0::2]
+        vcpus, ram_mb, net_rate, disk_gb = (c[:, None] for c in np.array(scale).T)
+        resources = np.empty((n, 5, width))
+        np.multiply(cpu, vcpus, out=resources[:, 0])
+        np.multiply(ratio[1::2], ram_mb, out=resources[:, 1])
+        np.multiply(net_rate, cpu, out=resources[:, 2])
+        np.multiply(resources[:, 2], 0.8, out=resources[:, 3])
+        resources[:, 4] = disk_gb
+
+    for r, window in enumerate(windows):
+        snapshot = own.get(r)
+        if snapshot is not None:
+            columns = [
+                snapshot.cpu_cores,
+                snapshot.memory_mb,
+                snapshot.network_tx_kbps,
+                snapshot.network_rx_kbps,
+                snapshot.disk_gb,
+            ]
+            yield snapshot.cpu_ratio, snapshot.memory_ratio, columns
+            continue
+        w = slice(window[0] - lo, window[1] - lo)
+        yield ratio[2 * r, w], ratio[2 * r + 1, w], resources[r, :, w]
+
+
+def _grid_bases(rows, ts, hour, weekend, uniforms) -> np.ndarray:
+    """Base shape of every block row over ``ts`` (at hours of day ``hour``,
+    weekend flags ``weekend``), one broadcast op per kind, each the
+    closure's expression operation for operation."""
+    kind = rows[:, 0]
+    p = rows[:, 2:8]
+    base = np.empty((len(rows), len(ts)))
+    sel = np.flatnonzero(kind == _CONST)
+    if sel.size:
+        base[sel] = p[sel, 0:1]
+    sel = np.flatnonzero(kind == _RAMP)
+    if sel.size:
+        q = p[sel]
+        # Progress from the window's first timestamp (the closure's ts[0]).
+        progress = np.clip((ts - rows[sel, 9:10]) / q[:, 2:3], 0.0, 1.0)
+        base[sel] = q[:, 0:1] + (q[:, 1:2] - q[:, 0:1]) * progress
+    sel = np.flatnonzero(kind == _DIURNAL)
+    if sel.size:
+        q = p[sel]
+        a = np.abs(hour - q[:, 2:3])
+        z = np.minimum(a, 24.0 - a) / q[:, 3:4]
+        diurnal = q[:, 0:1] + q[:, 1:2] * np.exp(-0.5 * (z * z))
+        base[sel] = diurnal * np.where(weekend, q[:, 5:6], q[:, 4:5])
+    sel = np.flatnonzero(kind == _BURSTY)
+    if sel.size:
+        q = p[sel]
+        # Sample k of a window reads uniform k // correlation.
+        k = np.arange(len(ts)) - rows[sel, 8:9].astype(int)
+        pick = np.clip(k // q[:, 3:4].astype(int), 0, len(ts) - 1)
+        burst = np.take_along_axis(uniforms[sel], pick, axis=1) < q[:, 2:3]
+        base[sel] = np.where(burst, q[:, 1:2], q[:, 0:1])
+    sel = np.flatnonzero(kind == _SPIKE)
+    if sel.size:
+        q = p[sel]
+        in_spike = np.remainder(ts + q[:, 5:6], q[:, 3:4]) < q[:, 4:5]
+        spike = np.where(in_spike, q[:, 2:3], q[:, 1:2])
+        base[sel] = np.maximum(q[:, 0:1], spike)
+    return base
 
 
 class DemandTable:

@@ -1,9 +1,13 @@
 """Tests for the end-to-end dataset generator (shared small dataset)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.datagen import GeneratorConfig, generate_dataset
+from repro.datagen.validation import validate_dataset
 from repro.telemetry.metrics import METRIC_CATALOG
 
 
@@ -163,3 +167,53 @@ class TestDeterminism:
         a = generate_dataset(base)
         b = generate_dataset(other)
         assert list(a.vms["flavor"]) != list(b.vms["flavor"])
+
+
+def test_deleted_migrated_vms_name_their_last_host(small_dataset):
+    """A migrated VM's delete event names the node it left last, not the
+    one it was first placed on."""
+    last_target: dict[str, str] = {}
+    deletes: dict[str, str] = {}
+    for row in small_dataset.events.rows():
+        if row["event"] == "migrate":
+            last_target[str(row["vm_id"])] = str(row["target"])
+        elif row["event"] == "delete":
+            deletes[str(row["vm_id"])] = str(row["source"])
+    checked = [vm for vm in last_target if vm in deletes]
+    assert checked, "no migrated VM is deleted inside the window"
+    for vm in checked:
+        assert deletes[vm] == last_target[vm], vm
+
+
+def _frame_digest(frame) -> str:
+    h = hashlib.sha256()
+    for name in frame.names:
+        column = np.asarray(frame[name])
+        h.update(name.encode())
+        h.update(column.dtype.str.encode())
+        if column.dtype.kind in "fiub":
+            h.update(np.ascontiguousarray(column).tobytes())
+        else:
+            h.update(repr(column.tolist()).encode())
+    return h.hexdigest()
+
+
+def test_dataset_content_pinned(small_dataset):
+    """The store, the vms frame, the meta and the calibration measurements
+    of ``small_config``, pinned bit for bit.  A change that moves any of
+    them must say so here."""
+    validation = validate_dataset(small_dataset)
+    measured = [(c.name, float(c.measured).hex()) for c in validation.checks]
+    meta = json.dumps(small_dataset.meta, sort_keys=True, default=str)
+    assert small_dataset.store.content_fingerprint() == (
+        "b27bdf1262c68e2d1a7795573b4d03829ba04f1f9c5c0e8073324b0ef475a41a"
+    )
+    assert _frame_digest(small_dataset.vms) == (
+        "00436ae0344df9e9c5f734ee80220f65b193b263ac201fd7186e79ba47a8e470"
+    )
+    assert hashlib.sha256(meta.encode()).hexdigest() == (
+        "fca81ba7a67121f3dbd5064b82791115817f9f87a90c452d42253211c2113f1a"
+    )
+    assert hashlib.sha256(repr(measured).encode()).hexdigest() == (
+        "4e8dc28e329eb93db0b9566f359c608b9361a7428bc03078ea9b2b19e29e4c5a"
+    )

@@ -289,6 +289,63 @@ class TestSeriesIndex:
         )
 
 
+_LABEL_NAMES = ("host", "bb", "dc")
+_LABEL_VALUES = ("a", "b", "c")
+#: A label set: any subset of the names, each with a value.
+_labelset = st.dictionaries(st.sampled_from(_LABEL_NAMES), st.sampled_from(_LABEL_VALUES))
+#: A matcher: names that series may lack, values they may not hold, and
+#: None (which a missing label matches).
+_matcher = st.dictionaries(
+    st.sampled_from((*_LABEL_NAMES, "missing")),
+    st.sampled_from((*_LABEL_VALUES, "z", None)),
+    max_size=3,
+)
+
+
+def _linear_select(created, metric, matcher):
+    """The selector as a scan: every series of ``metric``, in creation
+    order, whose labels satisfy ``labels.get(k) == v`` for every pair."""
+    return [
+        labels
+        for m, labels in created
+        if m == metric and all(labels.get(k) == v for k, v in (matcher or {}).items())
+    ]
+
+
+class TestSelectMatchers:
+    @given(
+        batches=st.lists(
+            st.lists(st.tuples(st.sampled_from(("cpu", "mem")), _labelset), max_size=8),
+            min_size=1,
+            max_size=4,
+        ),
+        matchers=st.lists(_matcher, min_size=1, max_size=4),
+    )
+    def test_select_equals_a_linear_scan(self, batches, matchers):
+        """Series are created in batches and every matcher is selected
+        between batches, so selects see series created after earlier
+        selects."""
+        store = MetricStore()
+        created = []
+        for batch in batches:
+            for metric, labels in batch:
+                if (metric, labels) not in created:
+                    created.append((metric, labels))
+                store.append(metric, labels, float(len(created)), 1.0)
+            for matcher in [None, {}, *matchers]:
+                for metric in ("cpu", "mem", "absent"):
+                    got = [labels for labels, _ in store.select(metric, matcher)]
+                    assert got == _linear_select(created, metric, matcher), (metric, matcher)
+
+    def test_selected_labels_are_fresh_dicts(self):
+        store = MetricStore()
+        store.append("cpu", {"host": "a"}, 0.0, 1.0)
+        labels, _ = next(store.select("cpu", {"host": "a"}))
+        labels["host"] = "changed"
+        assert [labels for labels, _ in store.select("cpu", {"host": "a"})] == [{"host": "a"}]
+        assert store.labelsets("cpu") == [{"host": "a"}]
+
+
 def _extended(items) -> bytes:
     buf = array("d")
     buf.extend(items)
