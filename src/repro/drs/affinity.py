@@ -33,13 +33,25 @@ class AffinityRules:
             raise ValueError("anti-affinity groups need at least two VMs")
         self.anti_affinity_groups.append(frozenset(vm_ids))
 
+    def constrains(self, vm_id: str) -> bool:
+        """Whether any affinity or anti-affinity group names ``vm_id``."""
+        return any(vm_id in group for group in self.anti_affinity_groups) or any(
+            vm_id in group for group in self.affinity_groups
+        )
+
     def allows_move(
         self, bb: BuildingBlock, vm_id: str, target_node_id: str
     ) -> bool:
-        """Whether moving ``vm_id`` to ``target_node_id`` keeps rules valid."""
+        """Whether moving ``vm_id`` to ``target_node_id`` keeps rules valid.
+
+        A VM no group names may go to any node of ``bb``; only a grouped
+        VM's move reads the residents.
+        """
         target = bb.nodes.get(target_node_id)
         if target is None:
             return False
+        if not self.constrains(vm_id):
+            return True
         resident = set(target.vms)
         for group in self.anti_affinity_groups:
             if vm_id in group and resident & (group - {vm_id}):

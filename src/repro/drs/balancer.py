@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.drs import imbalance as objective
 from repro.drs.affinity import AffinityRules
-from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode
+from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode, fits_matrix
 from repro.infrastructure.vm import VM
 
 #: Maps a VM to its current load in physical-core-equivalents.
@@ -143,15 +143,17 @@ class DrsBalancer:
         VMs in ``exclude`` (e.g. this pass's aborted migrations) and
         unhealthy targets (failed or draining nodes) are never considered.
 
-        Each source VM's admissible targets are scored in one array op:
-        one row of node fractions per target, with the move applied
-        (:func:`~repro.drs.imbalance.moved_rows`), and one
-        :func:`~repro.drs.imbalance.row_imbalance`.  Candidates are
-        compared in target order with a strict ``>``, so the first of
-        equal improvements wins.  The source's VMs are read in one
-        :func:`~repro.drs.imbalance.read_loads` call before any target is
-        scored; nothing in between draws, so the reads are those of a
-        VM-by-VM loop.
+        Every (source VM, target) pair is decided and scored at once: one
+        :func:`~repro.infrastructure.hierarchy.fits_matrix` gives the
+        capacity mask, ``allows_move`` refines it only for VMs a rule
+        group names, and one :func:`~repro.drs.imbalance.moved_rows` /
+        :func:`~repro.drs.imbalance.row_imbalance` matrix scores the
+        admissible pairs.  The pick is the first maximum in VM-then-target
+        order (:func:`_first_max`), which is what comparing the pairs in
+        that order with a strict ``>`` keeps.  The source's VMs are read
+        in one :func:`~repro.drs.imbalance.read_loads` call before any
+        target is scored; nothing in between draws, so the reads are those
+        of a VM-by-VM loop.
         """
         fractions = self.node_load_fractions(bb, load_fn)
         if len(fractions) < 2:
@@ -164,38 +166,56 @@ class DrsBalancer:
             for node_id, _ in reversed(ordered[1:])
             if bb.nodes[node_id].healthy
         ]
-        column = {node_id: i for i, node_id in enumerate(fractions)}
-        source_column = column[source.node_id]
-        base = np.array(list(fractions.values()))
-
-        best: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
-        best_light: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
         candidates = [vm for vm in source.vms.values() if vm.vm_id not in exclude]
         loads = objective.read_loads(load_fn, candidates)
-        for vm, load in zip(candidates, loads):
-            requested = vm.requested()
-            admissible = [
-                target
-                for target in targets
-                if target.fits(requested, bb.overcommit)
-                and self.rules.allows_move(bb, vm.vm_id, target.node_id)
-            ]
-            if not admissible:
-                continue
-            cols = [column[target.node_id] for target in admissible]
-            deltas = [load / target.physical.vcpus for target in admissible]
-            source_delta = load / source.physical.vcpus
-            rows = objective.moved_rows(base, source_column, source_delta, cols, deltas)
-            after = objective.row_imbalance(rows).tolist()
-            for target, imbalance in zip(admissible, after):
-                improvement = current_imbalance - imbalance
-                if improvement < self.config.min_improvement:
-                    continue
-                candidate = (vm.vm_id, source, target, load, improvement)
-                if best is None or improvement > best[4]:
-                    best = candidate
-                if load <= self.config.heavy_vm_cores and (
-                    best_light is None or improvement > best_light[4]
-                ):
-                    best_light = candidate
-        return best_light if best_light is not None else best
+        if not candidates or not targets:
+            return None
+
+        admissible = fits_matrix(
+            [vm.requested() for vm in candidates], targets, bb.overcommit
+        )
+        rules = self.rules
+        for v, vm in enumerate(candidates):
+            if rules.constrains(vm.vm_id):
+                for t in admissible[v].nonzero()[0].tolist():
+                    target_id = targets[t].node_id
+                    admissible[v, t] = rules.allows_move(bb, vm.vm_id, target_id)
+        pair_vm, pair_target = admissible.nonzero()  # VM-then-target order
+        if not pair_vm.size:
+            return None
+
+        column = {node_id: i for i, node_id in enumerate(fractions)}
+        target_cols = np.array([column[t.node_id] for t in targets])
+        target_vcpus = np.array([t.physical.vcpus for t in targets], dtype=float)
+        pair_loads = np.array(loads, dtype=float)[pair_vm]
+        rows = objective.moved_rows(
+            np.array(list(fractions.values())),
+            column[source.node_id],
+            pair_loads / source.physical.vcpus,
+            target_cols[pair_target],
+            pair_loads / target_vcpus[pair_target],
+        )
+        improvement = current_imbalance - objective.row_imbalance(rows)
+        enough = improvement >= self.config.min_improvement
+        light = _first_max(improvement, enough & (pair_loads <= self.config.heavy_vm_cores))
+        pick = light if light is not None else _first_max(improvement, enough)
+        if pick is None:
+            return None
+        v = pair_vm[pick]
+        return (
+            candidates[v].vm_id,
+            source,
+            targets[pair_target[pick]],
+            loads[v],
+            float(improvement[pick]),
+        )
+
+
+def _first_max(values: np.ndarray, mask: np.ndarray) -> int | None:
+    """The index of the first maximum of ``values`` among ``mask``, or None
+    for an empty mask: what a scan in index order keeps when it replaces
+    its pick only on a strictly greater value."""
+    index = mask.nonzero()[0]
+    if not index.size:
+        return None
+    return int(index[np.argmax(values[index])])

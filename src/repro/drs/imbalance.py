@@ -47,13 +47,28 @@ def read_loads(load_fn: Callable[[VM], float], vms: list[VM]) -> list[float]:
     return [load_fn(vm) for vm in vms]
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``, on every Python version.
+
+    The builtin ``sum`` of floats is this fold up to Python 3.11; from
+    3.12 it compensates the rounding (Neumaier), so ``sum([1e16, 1.0,
+    1.0])`` is ``1e16`` on 3.11 and ``1.0000000000000002e16`` on 3.12, and
+    load fractions, and with them DRS moves, would change with the
+    interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def load_fractions(
     nodes: Iterable[ComputeNode], load_fn: Callable[[VM], float]
 ) -> dict[str, float]:
     """Each balanced node's summed VM load over its physical cores.
 
     Every VM is read in one :func:`read_loads` call, in node order, then
-    residency order; each node sums its slice left to right from 0.
+    residency order; each node sums its slice with :func:`left_sum`.
     """
     balanced = balanced_nodes(nodes)
     vms = [vm for node in balanced for vm in node.vms.values()]
@@ -62,7 +77,7 @@ def load_fractions(
     start = 0
     for node in balanced:
         stop = start + len(node.vms)
-        fractions[node.node_id] = sum(loads[start:stop]) / node.physical.vcpus
+        fractions[node.node_id] = left_sum(loads[start:stop]) / node.physical.vcpus
         start = stop
     return fractions
 
@@ -72,12 +87,12 @@ def imbalance(values: Sequence[float]) -> float:
     return float(np.std(values)) if len(values) > 1 else 0.0
 
 
-def moved_rows(base, source_col, source_delta, target_cols, target_deltas) -> np.ndarray:
-    """One copy of ``base`` per target: row ``i`` has ``source_delta`` taken
-    off ``source_col`` and ``target_deltas[i]`` (or the one scalar) added
-    to ``target_cols[i]``."""
+def moved_rows(base, source_col, source_deltas, target_cols, target_deltas) -> np.ndarray:
+    """One copy of ``base`` per move: row ``i`` has ``source_deltas[i]``
+    taken off ``source_col`` and ``target_deltas[i]`` added to
+    ``target_cols[i]`` (either delta may be one scalar for every row)."""
     rows = np.repeat(base[np.newaxis, :], len(target_cols), axis=0)
-    rows[:, source_col] -= source_delta
+    rows[:, source_col] -= source_deltas
     rows[np.arange(len(target_cols)), target_cols] += target_deltas
     return rows
 

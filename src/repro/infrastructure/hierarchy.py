@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from repro.infrastructure.capacity import Capacity, OvercommitPolicy
 from repro.infrastructure.vm import VM
 
@@ -103,6 +105,13 @@ class ComputeNode:
         )
         object.__setattr__(self, "_vm_memo", memo)
         return memo
+
+    def residency(self) -> tuple:
+        """The resident-VM memo: a new object after every ``add_vm``,
+        ``remove_vm`` or registry swap, the same object otherwise, so a
+        cache of anything derived from the resident set can key on its
+        identity (the guard :meth:`allocated` trusts)."""
+        return self._resident()
 
     def allocated(self) -> Capacity:
         """Sum of resources requested by resident VMs (memoised)."""
@@ -209,6 +218,34 @@ class ComputeNode:
     @property
     def vm_count(self) -> int:
         return len(self.vms)
+
+
+def _components(capacity: Capacity) -> tuple:
+    return (capacity.vcpus, capacity.memory_mb, capacity.disk_gb, capacity.network_gbps)
+
+
+def fits_matrix(
+    requests: list[Capacity], nodes: list[ComputeNode], policy: OvercommitPolicy
+) -> np.ndarray:
+    """``[[node.fits(r, policy) for node in nodes] for r in requests]`` as
+    one (requests × nodes) bool array.
+
+    :meth:`ComputeNode.fits`'s arithmetic on all four components: each
+    node's allocatable minus its allocated vector, clamped at 0.0 the way
+    ``x if x > 0.0 else 0.0`` is (``np.where(x > 0.0, x, 0.0)``, -0.0 and
+    NaN included), compared with ``<=`` in one broadcast.
+    """
+    free = np.array(
+        [_components(node.allocatable(policy)) for node in nodes], dtype=float
+    ).reshape(len(nodes), 4)
+    free -= np.array(
+        [_components(node.allocated()) for node in nodes], dtype=float
+    ).reshape(len(nodes), 4)
+    free = np.where(free > 0.0, free, 0.0)
+    asked = np.array([_components(r) for r in requests], dtype=float).reshape(
+        len(requests), 4
+    )
+    return (asked[:, np.newaxis, :] <= free[np.newaxis, :, :]).all(axis=2)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from repro.drs.imbalance import (
     balanced_nodes,
     general_purpose_nodes,
     imbalance,
+    left_sum,
     moved_rows,
     row_imbalance,
 )
@@ -102,7 +103,7 @@ class MigrationPlanner:
         if len(nodes) < 2:
             return plan
         loads = np.array(
-            [sum(load_view(vm)[0] for vm in node.vms.values()) for node in nodes],
+            [left_sum(load_view(vm)[0] for vm in node.vms.values()) for node in nodes],
             dtype=float,
         )
         capacities = np.array([node.physical.vcpus for node in nodes], dtype=float)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -71,7 +72,7 @@ from repro.simulation.events import (
     VM_RESIZE,
 )
 from repro.simulation.hostsched import HostCpuModel
-from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
+from repro.telemetry.exporters import NovaExporter, VropsExporter
 from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import STALE
 from repro.workloads.demand import DemandModel, VMDemand
@@ -322,23 +323,18 @@ class RegionSimulation:
         #: resize picks its victim here instead of filtering every VM ever
         #: created.
         self._live = LiveVMIndex()
-        self.demands: dict[str, VMDemand] = {}
+        #: Every write to a VM's demand (create, resize, ``drop_demand``,
+        #: or a caller's own ``demands[vm_id] = ...``) first drops that
+        #: VM's compiled entry and its node's slot list.
+        self.demands = DemandRegistry(self._demand_written)
         #: Per-VM compiled waveform evaluators and their batch rows, read
         #: a batch at a time by the scrape tick and by DRS (:class:`DrsLoad`).
-        #: Entries are validated by demand-object identity on every use and
-        #: recompiled on mismatch, so create/resize (which swap the
-        #: VMDemand) can never be served a stale waveform; resize and
-        #: ``drop_demand`` free the entry's slot.
+        #: Compiled lazily, at a VM's first read; a present entry is current
+        #: by construction, since a demand write pops it and frees its slot.
         self._compiled = DemandTable(self.rng)
-        self._stale_usage = NodeUsage(
-            cpu_used_fraction=STALE,
-            memory_used_fraction=STALE,
-            network_tx_kbps=STALE,
-            network_rx_kbps=STALE,
-            disk_used_gb=STALE,
-            cpu_ready_ms=STALE,
-            cpu_contention_fraction=STALE,
-        )
+        #: node_id -> (residency memo, slots): each node's table slots in
+        #: residency order, valid while ``node.residency()`` is that memo.
+        self._slot_lists: dict[str, tuple[tuple, list[int]]] = {}
         self._vm_counter = 0
         self.created = 0
         self.deleted = 0
@@ -551,7 +547,18 @@ class RegionSimulation:
         when an evacuation dead-letters it.
         """
         self.demands.pop(vm_id, None)
+
+    def _demand_written(self, vm_id: str) -> None:
+        """Before ``vm_id``'s demand changes: drop its compiled entry (which
+        frees its slot) and the slot list of the node it is resident on.
+        A VM this simulation did not create may sit on any node, so every
+        list goes."""
         self._compiled.pop(vm_id, None)
+        vm = self.vms.get(vm_id)
+        if vm is None:
+            self._slot_lists.clear()
+        elif vm.node_id is not None:
+            self._slot_lists.pop(vm.node_id, None)
 
     def _handle_resize(self, engine: SimulationEngine, event) -> None:
         """Resize a random live VM to the next-larger same-family flavor.
@@ -601,7 +608,6 @@ class RegionSimulation:
         self.demands[vm.vm_id] = self.demand_model.demand_for(
             new_flavor, profile_for_flavor(new_flavor, self.rng)
         )
-        self._compiled.pop(vm.vm_id, None)
         self.resized += 1
 
     def _schedule_admission_retry(
@@ -739,28 +745,27 @@ class RegionSimulation:
     def _handle_scrape(self, engine: SimulationEngine, event) -> None:
         """One scrape tick: every live node's vROps samples plus Nova's.
 
-        The tick gathers its VMs in node order, then residency order, and
-        reads their demand in one :meth:`DemandTable.evaluate` batch,
-        which equals the compiled waveforms' scalar reads in that order,
-        shared-RNG draws included.  Each node's five channels are summed
-        as a left fold from 0.0 (``np.cumsum`` along a zero-padded row is
-        sequential, unlike ``np.sum``), the node CPU windows come from one
+        The tick gathers its VMs in node order, then residency order, from
+        each node's slot list (:meth:`_node_slots`), and reads their demand
+        in one :meth:`DemandTable.evaluate` batch, which equals the
+        compiled waveforms' scalar reads in that order, shared-RNG draws
+        included.  Each node's five channels are summed as a left fold
+        from 0.0 (``np.cumsum`` along a zero-padded row is sequential,
+        unlike ``np.sum``), the node CPU windows come from one
         :meth:`HostCpuModel.resolve_series` over the node vector, and the
-        values go straight into the store's column buffers through
-        interned series handles.  The result is byte-identical to the
-        per-sample reference scrape in :mod:`repro.verify.reference`
+        scraped nodes' rows go to the store in one
+        :meth:`VropsExporter.emit_nodes`.  The result is byte-identical to
+        the per-sample reference scrape in :mod:`repro.verify.reference`
         (same fault-draw order, same skip logic, same arithmetic).
         """
         if self.telemetry_faults is not None and self.telemetry_faults.scrape_missed():
             return  # whole cycle lost: an honest hole in every series
         now = engine.now
-        demands = self.demands
-        table = self._compiled
-        compiled = table.get
-        slot_of = table.slots
         partition = self.partition
         telemetry_faults = self.telemetry_faults
-        scraped = []  # (node, position in self._nodes, or -1 when stale)
+        node_slots = self._node_slots
+        scraped = []  # the nodes with samples this tick
+        rows = []  # their positions in self._nodes, or -1 when stale
         live = []  # positions of the nodes read live
         counts = []  # their VMs with a demand
         slots = []
@@ -769,31 +774,24 @@ class RegionSimulation:
                 continue  # dead host, dead exporter: no samples at all
             if partition is not None and partition.is_blackholed(node.node_id):
                 continue  # exporter unreachable: the domain's series freeze
+            scraped.append(node)
             if telemetry_faults is not None and telemetry_faults.node_is_stale(
                 node.node_id
             ):
                 # Exporter answered with stale data: same timestamps,
                 # every value a staleness marker.
-                scraped.append((node, -1))
+                rows.append(-1)
                 continue
-            scraped.append((node, p))
-            first = len(slots)
-            for vm in node.vms.values():
-                vm_id = vm.vm_id
-                demand = demands.get(vm_id)
-                if demand is None:
-                    continue
-                cd = compiled(vm_id)
-                if cd is None or cd.demand is not demand:
-                    slots.append(table.put(vm_id, compile_demand(demand)))
-                else:
-                    slots.append(slot_of[vm_id])
+            rows.append(p)
+            resident = node_slots(node)
+            slots += resident
             live.append(p)
-            counts.append(len(slots) - first)
+            counts.append(len(resident))
 
-        sums = np.zeros((5, len(self._nodes)))
+        n = len(self._nodes)
+        sums = np.zeros((5, n))
         if slots:
-            sums[:, live] = _fold_groups(table.evaluate(slots, now), counts)
+            sums[:, live] = _fold_groups(self._compiled.evaluate(slots, now), counts)
         cpu_demand, mem_mb, tx, rx, disk = sums
         used, ready_ms, contention = self._host_cpu.resolve_series(
             cpu_demand, self.config.scrape_interval_s
@@ -804,16 +802,40 @@ class RegionSimulation:
         mem = mem_mb / self._node_memory_mb + 0.04
         mem = np.where(mem < 1.0, mem, 1.0)
         disk = np.where(self._node_disk_gb < disk, self._node_disk_gb, disk)
-        columns = [a.tolist() for a in (cpu, mem, tx, rx, disk, ready_ms, contention)]
-        store = self.store
-        vrops = self.vrops
-        for node, p in scraped:
-            if p < 0:
-                vrops.emit_node(store, node, self._stale_usage, now)
-                continue
-            usage = NodeUsage(*[column[p] for column in columns])
-            vrops.emit_node(store, node, usage, now)
-        self.nova_exporter.emit_region(store, self.region, now)
+        # NodeUsage columns, one row per node, and a last row of markers
+        # for the stale nodes (row -1).
+        usage = np.full((n + 1, 7), STALE)
+        usage[:n] = np.column_stack((cpu, mem, tx, rx, disk, ready_ms, contention))
+        self.vrops.emit_nodes(self.store, scraped, usage[rows], now)
+        self.nova_exporter.emit_region(self.store, self.region, now)
+
+    def _node_slots(self, node: ComputeNode) -> list[int]:
+        """The table slots of ``node``'s VMs with a demand, in residency
+        order, compiling any VM not yet in the table.
+
+        Kept per node and reused while ``node.residency()`` is the same
+        memo, i.e. until a VM is added or removed; a write to a resident's
+        demand drops the list too (:meth:`_demand_written`).
+        """
+        residency = node.residency()
+        cached = self._slot_lists.get(node.node_id)
+        if cached is not None and cached[0] is residency:
+            return cached[1]
+        table = self._compiled
+        slot_of = table.slots
+        demands = self.demands
+        slots = []
+        for vm in node.vms.values():
+            vm_id = vm.vm_id
+            slot = slot_of.get(vm_id)
+            if slot is None:
+                demand = demands.get(vm_id)
+                if demand is None:
+                    continue
+                slot = table.put(vm_id, compile_demand(demand))
+            slots.append(slot)
+        self._slot_lists[node.node_id] = (residency, slots)
+        return slots
 
     def _handle_drs(self, engine: SimulationEngine, event) -> None:
         """One DRS pass over every spread building block.
@@ -837,6 +859,41 @@ class RegionSimulation:
         return self._mix_flavors[draw(self._mix_cdf, self.rng)]
 
 
+class DemandRegistry(dict):
+    """``vm_id -> VMDemand`` that calls ``on_write(vm_id)`` before any
+    entry is set or removed, whichever mapping method does it."""
+
+    __slots__ = ("_on_write",)
+
+    def __init__(self, on_write: Callable[[str], None]) -> None:
+        super().__init__()
+        self._on_write = on_write
+
+    def __setitem__(self, vm_id: str, demand: VMDemand) -> None:
+        self._on_write(vm_id)
+        super().__setitem__(vm_id, demand)
+
+    def __delitem__(self, vm_id: str) -> None:
+        self._on_write(vm_id)
+        super().__delitem__(vm_id)
+
+    def pop(self, vm_id: str, *default):
+        if vm_id in self:
+            self._on_write(vm_id)
+        return super().pop(vm_id, *default)
+
+    # dict's own versions write past the methods above; these go through
+    # them (``popitem`` takes the first entry, not the last).
+    popitem = MutableMapping.popitem
+    clear = MutableMapping.clear
+    update = MutableMapping.update
+    setdefault = MutableMapping.setdefault
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
 class DrsLoad:
     """The DRS load model at one instant: a VM's CPU demand in cores.
 
@@ -845,7 +902,8 @@ class DrsLoad:
     ``load.many(vms)`` reads a list in one :meth:`DemandTable.evaluate`,
     which equals ``[load(vm) for vm in vms]`` bit for bit and leaves the
     shared generator where those calls would.  Both recompile a VM whose
-    registered demand object was replaced, as the scrape does.
+    demand object was replaced: ``demands`` may be any mapping, not only
+    the simulation's :class:`DemandRegistry`, which pops the entry itself.
     """
 
     __slots__ = ("demands", "table", "now")

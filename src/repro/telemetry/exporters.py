@@ -14,10 +14,12 @@ exact metric names and label conventions of the public dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from repro.infrastructure.hierarchy import ComputeNode, Region
-from repro.telemetry.store import MetricStore, Sample, SeriesHandle
+from repro.telemetry.store import MetricStore, Sample, SeriesHandle, SeriesHandleGroup
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,18 +65,68 @@ NODE_METRICS = (
 )
 
 
+#: The :class:`NodeUsage` field behind each :data:`NODE_METRICS` entry,
+#: and whether it is a fraction reported as a percentage.
+_METRIC_SOURCES = (
+    ("cpu_used_fraction", True),
+    ("cpu_contention_fraction", True),
+    ("cpu_ready_ms", False),
+    ("memory_used_fraction", True),
+    ("network_tx_kbps", False),
+    ("network_rx_kbps", False),
+    ("disk_used_gb", False),
+)
+_USAGE_FIELDS = tuple(f.name for f in fields(NodeUsage))
+_METRIC_COLUMNS = [_USAGE_FIELDS.index(name) for name, _ in _METRIC_SOURCES]
+_PERCENT_COLUMNS = [i for i, (_, percent) in enumerate(_METRIC_SOURCES) if percent]
+
+
 class VropsExporter:
     """Emits ``vrops_*`` samples for nodes and VMs.
 
-    :meth:`emit_node` is the interned fast path: the metric-name +
+    :meth:`emit_nodes` is the interned fast path: the metric-name +
     label-tuple → series resolution happens once per node (lazily, at the
     node's first emission, preserving the series creation order of the
-    per-sample path), after which each scrape is seven column appends.
+    per-sample path), and a whole scrape tick is one grouped append of
+    seven samples per node.
     """
 
     def __init__(self) -> None:
         self._handle_store: MetricStore | None = None
         self._node_handles: dict[str, tuple[SeriesHandle, ...]] = {}
+        #: The last tick's node ids and their handles as one group.
+        self._group_nodes: list[str] = []
+        self._group = SeriesHandleGroup(())
+
+    def emit_nodes(
+        self,
+        store: MetricStore,
+        nodes: list[ComputeNode],
+        usage: np.ndarray,
+        timestamp: float,
+    ) -> int:
+        """Append one scrape of ``nodes`` directly into ``store``.
+
+        ``usage`` has one row per node, its :class:`NodeUsage` fields in
+        field order; a stale scrape is a row of staleness markers.  Same
+        metrics, labels, values and series creation order as
+        :meth:`scrape_node` + ``store.ingest`` node by node, with zero
+        per-sample objects.  Returns the number of samples appended.
+        """
+        if store is not self._handle_store:
+            self._handle_store = store
+            self._node_handles = {}
+            self._group_nodes = []
+        node_ids = [node.node_id for node in nodes]
+        if node_ids != self._group_nodes:
+            self._group = SeriesHandleGroup(
+                handle for node in nodes for handle in self._handles(store, node)
+            )
+            self._group_nodes = node_ids
+        values = usage[:, _METRIC_COLUMNS]
+        values[:, _PERCENT_COLUMNS] *= 100.0
+        self._group.append(timestamp, values.ravel().tolist())
+        return len(self._group)
 
     def emit_node(
         self,
@@ -83,31 +135,20 @@ class VropsExporter:
         usage: NodeUsage,
         timestamp: float,
     ) -> int:
-        """Append one node's host-level samples directly into ``store``.
+        """:meth:`emit_nodes` for one node's :class:`NodeUsage`."""
+        row = [[getattr(usage, name) for name in _USAGE_FIELDS]]
+        return self.emit_nodes(store, [node], np.array(row, dtype=float), timestamp)
 
-        Same metrics, labels, and values as :meth:`scrape_node` +
-        ``store.ingest`` — stale scrapes pass NaN fractions through the
-        identical expressions — with zero per-sample objects.  Returns the
-        number of samples appended.
-        """
-        if store is not self._handle_store:
-            self._handle_store = store
-            self._node_handles = {}
+    def _handles(self, store: MetricStore, node: ComputeNode) -> tuple[SeriesHandle, ...]:
+        """``node``'s seven series handles in :data:`NODE_METRICS` order,
+        creating the series at its first scrape."""
         handles = self._node_handles.get(node.node_id)
         if handles is None:
             labels = tuple(sorted(node_labels(node).items()))
             handles = self._node_handles[node.node_id] = tuple(
                 store.series_handle(metric, labels) for metric in NODE_METRICS
             )
-        h_cpu, h_cont, h_ready, h_mem, h_tx, h_rx, h_disk = handles
-        h_cpu.append(timestamp, 100.0 * usage.cpu_used_fraction)
-        h_cont.append(timestamp, 100.0 * usage.cpu_contention_fraction)
-        h_ready.append(timestamp, usage.cpu_ready_ms)
-        h_mem.append(timestamp, 100.0 * usage.memory_used_fraction)
-        h_tx.append(timestamp, usage.network_tx_kbps)
-        h_rx.append(timestamp, usage.network_rx_kbps)
-        h_disk.append(timestamp, usage.disk_used_gb)
-        return 7
+        return handles
 
     def scrape_node(
         self, node: ComputeNode, usage: NodeUsage, timestamp: float

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -133,6 +134,36 @@ class SeriesHandle:
         self._ts.append(timestamp)
         self._vs.append(value)
         self._buf._finalized = None
+
+
+class SeriesHandleGroup:
+    """Several series handles appended to together, one sample each.
+
+    ``group.append(t, values)`` leaves every series as
+    ``handle.append(t, value)`` over the handles and values in order
+    would, with the column appends run by ``map`` in C rather than one
+    Python call per series.  The scrape tick appends every scraped node's
+    host metrics through one group.
+    """
+
+    __slots__ = ("_ts", "_vs", "_bufs")
+
+    def __init__(self, handles: Iterable[SeriesHandle]) -> None:
+        handles = list(handles)
+        self._ts = [h._ts for h in handles]
+        self._vs = [h._vs for h in handles]
+        self._bufs = [h._buf for h in handles]
+
+    def __len__(self) -> int:
+        return len(self._bufs)
+
+    def append(self, timestamp: float, values: list[float]) -> None:
+        if len(values) != len(self._vs):
+            raise ValueError(f"{len(values)} values for {len(self._vs)} series")
+        deque(map(array.append, self._ts, repeat(timestamp)), maxlen=0)
+        deque(map(array.append, self._vs, values), maxlen=0)
+        for buf in self._bufs:
+            buf._finalized = None
 
 
 class MetricStore:

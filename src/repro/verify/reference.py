@@ -30,6 +30,7 @@ from repro.simulation.runner import (
     SimulationResult,
 )
 from repro.telemetry.exporters import NodeUsage
+from repro.telemetry.timeseries import STALE
 
 
 class ReferenceSimulation(RegionSimulation):
@@ -43,6 +44,15 @@ class ReferenceSimulation(RegionSimulation):
             n.node_id: HostCpuModel(n.physical.vcpus, efficiency=HOST_CPU_EFFICIENCY)
             for n in self.region.iter_nodes()
         }
+        self._stale_usage = NodeUsage(
+            cpu_used_fraction=STALE,
+            memory_used_fraction=STALE,
+            network_tx_kbps=STALE,
+            network_rx_kbps=STALE,
+            disk_used_gb=STALE,
+            cpu_ready_ms=STALE,
+            cpu_contention_fraction=STALE,
+        )
 
     def _handle_scrape(self, engine: SimulationEngine, event) -> None:
         if self.telemetry_faults is not None and self.telemetry_faults.scrape_missed():

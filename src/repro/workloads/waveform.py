@@ -66,10 +66,11 @@ it by calling its own ``evaluate(t)`` in place.  Array ``np.exp`` and
 bit; ``tests/test_demand_batch.py`` guards these numpy facts by name, and
 that the batch equals the sequence of scalar reads.
 
-Invalidation is by identity: the simulation keeps one ``CompiledDemand``
-per VM in its table and recompiles whenever the registered
-:class:`VMDemand` object is replaced (create, resize); resize and the
-VM's departure free its slot for the next VM.
+The simulation keeps one ``CompiledDemand`` per VM in its table,
+compiled at the VM's first read.  Every write to a VM's registered
+:class:`VMDemand` (create, resize, departure) pops the entry first and
+frees its slot for the next VM, so an entry present in the table is
+current (``repro.simulation.runner.DemandRegistry``).
 """
 
 from __future__ import annotations

@@ -67,3 +67,42 @@ def test_no_rules_allows_everything(bb):
     rules = AffinityRules()
     for target in bb.nodes:
         assert rules.allows_move(bb, "a", target)
+
+
+class _UnreadableRegistry(dict):
+    """A node's ``vms`` that fails the test if its residents are read."""
+
+    def __iter__(self):
+        raise AssertionError("the target's residents were read")
+
+
+class TestUngroupedShortcut:
+    def test_constrains_names_grouped_vms_only(self, bb):
+        rules = AffinityRules()
+        rules.add_anti_affinity({"a", "b"})
+        rules.add_affinity({"b", "c"})
+        assert rules.constrains("a") and rules.constrains("b") and rules.constrains("c")
+        assert not rules.constrains("d")
+        assert not AffinityRules().constrains("a")
+
+    def test_ungrouped_vm_is_allowed_without_reading_the_target(self, bb):
+        target = bb.nodes[node_id(bb, 1)]
+        object.__setattr__(target, "vms", _UnreadableRegistry(target.vms))
+        assert AffinityRules().allows_move(bb, "c", target.node_id)
+        # b's node, where the anti-affinity group lives: c is no member.
+        rules = AffinityRules()
+        rules.add_anti_affinity({"a", "b"})
+        assert rules.allows_move(bb, "c", target.node_id)
+
+    def test_grouped_vm_still_reads_the_target(self, bb):
+        rules = AffinityRules()
+        rules.add_anti_affinity({"a", "b"})
+        target = bb.nodes[node_id(bb, 1)]
+        object.__setattr__(target, "vms", _UnreadableRegistry(target.vms))
+        with pytest.raises(AssertionError, match="residents were read"):
+            rules.allows_move(bb, "a", target.node_id)
+
+    def test_unknown_target_is_rejected_for_an_ungrouped_vm(self, bb):
+        rules = AffinityRules()
+        rules.add_anti_affinity({"a", "b"})
+        assert not rules.allows_move(bb, "c", "ghost-node")

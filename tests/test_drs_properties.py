@@ -8,12 +8,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.drs.affinity import AffinityRules
 from repro.drs.balancer import DrsBalancer, DrsConfig
-from repro.infrastructure.capacity import GENERAL_OVERCOMMIT, OvercommitPolicy
+from repro.infrastructure.capacity import GENERAL_OVERCOMMIT, Capacity, OvercommitPolicy
 from repro.infrastructure.flavors import Flavor
-from repro.infrastructure.hierarchy import BuildingBlock
+from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode
 from repro.infrastructure.vm import VM
 from repro.migration.planner import MigrationPlan, MigrationPlanner, PlannedMove
-from tests.conftest import make_bb, make_node
+from tests.conftest import make_bb
 
 _vm_sizes = st.lists(
     st.tuples(
@@ -130,27 +130,42 @@ class _ReferenceBalancer(DrsBalancer):
 
 _NODE_FLAGS = st.sampled_from(("ok", "ok", "ok", "failed", "maintenance", "quarantined"))
 
+_groups = st.lists(
+    st.lists(st.integers(min_value=0, max_value=29), min_size=2, max_size=4),
+    max_size=8,
+)
+
 _cluster = st.fixed_dictionaries(
     {
         "nodes": st.lists(
-            st.tuples(st.sampled_from((16, 32, 48, 64, 96)), _NODE_FLAGS),
+            st.tuples(
+                st.sampled_from((16, 32, 48, 64, 96)),  # vcpus
+                _NODE_FLAGS,
+                # Memory (GiB) and disk (GB): roomy, or tight enough that
+                # RAM or disk, not vCPUs, decides whether a VM fits.
+                st.sampled_from((2048, 2048, 48, 24)),
+                st.sampled_from((4096, 4096, 300, 120)),
+            ),
             min_size=2,
             max_size=9,
         ),
+        # Every node the first node's size: equal fractions, so equal
+        # improvements (exact ties, above all with sigma 0).
+        "equal_nodes": st.booleans(),
         "vms": st.lists(
             st.tuples(
                 st.integers(min_value=1, max_value=48),  # vcpus
                 st.integers(min_value=0, max_value=8),  # node index
                 st.sampled_from((False, False, False, True)),  # excluded
+                st.sampled_from((4, 4, 16, 32)),  # ram GiB
+                st.sampled_from((50, 50, 100, 250)),  # disk GB
             ),
             min_size=1,
             max_size=30,
         ),
-        "anti_affinity": st.lists(
-            st.lists(st.integers(min_value=0, max_value=29), min_size=2, max_size=4),
-            max_size=8,
-        ),
-        "sigma": st.sampled_from((0.0, 0.5, 3.0)),
+        "anti_affinity": _groups,
+        "affinity": _groups,
+        "sigma": st.sampled_from((0.0, 0.0, 0.5, 3.0)),
         "min_improvement": st.sampled_from((0.0, 0.005, 0.02)),
         "heavy_vm_cores": st.sampled_from((4.0, 16.0, 32.0)),
         "load_seed": st.integers(min_value=0, max_value=2**32 - 1),
@@ -162,26 +177,36 @@ def _build_cluster(spec):
     """A fresh BB for ``spec``: mixed node sizes and health, VMs placed
     directly (bypassing admission, so some nodes may be overloaded)."""
     bb = BuildingBlock(bb_id="bb0", overcommit=OvercommitPolicy(cpu_ratio=2.0))
-    for i, (vcpus, _) in enumerate(spec["nodes"]):
-        bb.add_node(make_node(f"bb0-n{i}", vcpus=vcpus, memory_gib=2048))
+    sizes = [node[:1] + node[2:] for node in spec["nodes"]]
+    if spec["equal_nodes"]:
+        sizes = [sizes[0]] * len(sizes)
+    for i, (vcpus, memory_gib, disk_gb) in enumerate(sizes):
+        physical = Capacity(
+            vcpus=vcpus, memory_mb=memory_gib * 1024, disk_gb=disk_gb, network_gbps=200
+        )
+        bb.add_node(ComputeNode(node_id=f"bb0-n{i}", physical=physical))
     nodes = list(bb.iter_nodes())
-    for i, (vcpus, node_index, _) in enumerate(spec["vms"]):
-        vm = VM(vm_id=f"v{i}", flavor=Flavor(f"f{i}", vcpus=vcpus, ram_gib=4))
-        nodes[node_index % len(nodes)].add_vm(vm)
-    for node, (_, flag) in zip(nodes, spec["nodes"]):
+    for i, (vcpus, node_index, _, ram_gib, disk_gb) in enumerate(spec["vms"]):
+        flavor = Flavor(f"f{i}", vcpus=vcpus, ram_gib=ram_gib, disk_gb=disk_gb)
+        nodes[node_index % len(nodes)].add_vm(VM(vm_id=f"v{i}", flavor=flavor))
+    for node, (_, flag, _, _) in zip(nodes, spec["nodes"]):
         if flag != "ok":
             setattr(node, flag, True)
     rules = AffinityRules()
-    for group in spec["anti_affinity"]:
-        ids = {f"v{i}" for i in group if i < len(spec["vms"])}
-        if len(ids) >= 2:
-            rules.add_anti_affinity(ids)
+    for kind, add in (
+        ("anti_affinity", rules.add_anti_affinity),
+        ("affinity", rules.add_affinity),
+    ):
+        for group in spec[kind]:
+            ids = {f"v{i}" for i in group if i < len(spec["vms"])}
+            if len(ids) >= 2:
+                add(ids)
     config = DrsConfig(
         max_moves_per_run=6,
         min_improvement=spec["min_improvement"],
         heavy_vm_cores=spec["heavy_vm_cores"],
     )
-    exclude = {f"v{i}" for i, (_, _, excluded) in enumerate(spec["vms"]) if excluded}
+    exclude = {f"v{i}" for i, vm in enumerate(spec["vms"]) if vm[2]}
     return bb, config, rules, exclude
 
 

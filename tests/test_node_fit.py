@@ -1,8 +1,9 @@
 """Reference equivalence for the node-level fit check and node choice.
 
-``ComputeNode.fits`` and ``BuildingBlock.pick_node`` answer from cached
-allocatable and allocated vectors without building a Capacity.  The
-references below are the Capacity arithmetic they replaced:
+``ComputeNode.fits``, its (requests × nodes) batch ``fits_matrix`` and
+``BuildingBlock.pick_node`` answer from cached allocatable and allocated
+vectors without building a Capacity.  The references below are the
+Capacity arithmetic they replaced:
 ``policy.allocatable(physical) - allocated`` then ``fits_within``, with
 the allocation recounted from scratch, and the list-then-max/min node
 choice.  The properties drive both through random VM churn, health
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.infrastructure.capacity import Capacity, OvercommitPolicy
 from repro.infrastructure.flavors import Flavor
-from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode
+from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode, fits_matrix
 from repro.infrastructure.vm import VM
 
 
@@ -117,6 +118,11 @@ def _bb(policy_name: str, overcommit: OvercommitPolicy, nodes: int) -> BuildingB
 
 
 def _assert_same(bb: BuildingBlock, requests: list[Capacity]) -> None:
+    members = list(bb.iter_nodes())
+    assert fits_matrix(requests, members, bb.overcommit).tolist() == [
+        [reference_fits(node, req, bb.overcommit) for node in members]
+        for req in requests
+    ]
     for node in bb.iter_nodes():
         assert node.allocated() == reference_allocated(node)
         for req in requests:

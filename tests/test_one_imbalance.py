@@ -4,7 +4,7 @@ from pathlib import Path
 
 from repro.drs import RebalanceDriver
 from repro.drs.balancer import DrsBalancer
-from repro.drs.imbalance import imbalance, load_fractions
+from repro.drs.imbalance import imbalance, left_sum, load_fractions
 from repro.infrastructure.flavors import Flavor
 from repro.infrastructure.topology import build_region
 from repro.infrastructure.vm import VM
@@ -65,3 +65,20 @@ def test_every_caller_uses_the_same_node_set():
     plan = MigrationPlanner().plan_for_nodes(list(bb.iter_nodes()))
     assert {m.target_node for m in plan.moves} <= set(fractions)
 
+
+
+def test_left_sum_folds_left_on_every_python():
+    # Python 3.12's compensated ``sum`` gives 1.0000000000000002e16 here.
+    assert left_sum([1e16, 1.0, 1.0]) == 1e16
+    assert left_sum([1.0, 1e16, -1e16]) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert left_sum([]) == 0.0
+
+
+def test_load_fractions_fold_each_node_left():
+    node = make_node("n0", vcpus=2)
+    loads = {"v0": 1e16, "v1": 1.0, "v2": 1.0}
+    for vm_id in loads:
+        node.add_vm(VM(vm_id=vm_id, flavor=Flavor(vm_id, vcpus=1, ram_gib=1)))
+    fractions = load_fractions([node], lambda vm: loads[vm.vm_id])
+    assert fractions == {"n0": 5e15}

@@ -5,27 +5,32 @@ objects) must be observationally indistinguishable from the per-sample
 reference in :mod:`repro.verify.reference`: same placements, same
 counters, same telemetry bytes.  `repro verify --check scrape_path` holds
 this on the canned scenarios; these tests hold the building blocks
-(SeriesHandle, content_fingerprint, emit_node/emit_region vs
+(SeriesHandle, content_fingerprint, emit_nodes/emit_region vs
 scrape_node/scrape_region), an end-to-end faulted run small enough for
 the unit suite, and the reference's independence from the fast path.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from repro.drs.balancer import migrate
 from repro.faults.config import FaultConfig
 from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 from repro.infrastructure.flavors import Flavor
-from repro.infrastructure.vm import VM
+from repro.infrastructure.topology import BuildingBlockSpec, DatacenterSpec, TopologySpec
+from repro.infrastructure.vm import VM, VMState
 from repro.simulation import runner
 from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
 from repro.telemetry.store import MetricStore
-from repro.verify.reference import run_reference_scenario
+from repro.telemetry.timeseries import STALE
+from repro.verify.reference import ReferenceSimulation, run_reference_scenario
 from repro.verify.runner import VerifyConfig, run_verify
 from repro.verify.scenarios import SCENARIOS
 from repro.workloads import waveform
-from tests.conftest import make_node
+from tests.conftest import build_tiny_region_spec, make_node
 
 
 @pytest.fixture
@@ -104,6 +109,27 @@ class TestEmitParity:
         emitted = VropsExporter().emit_node(columnar, node, usage, 60.0)
 
         assert emitted == legacy.sample_count() == 7
+        assert columnar.content_fingerprint() == legacy.content_fingerprint()
+
+    def test_emit_nodes_matches_scrape_node_ingest_tick_by_tick(self, usage):
+        """Whole ticks over a changing node set, stale rows included: the
+        same series, in the same creation order, with the same bits."""
+        nodes = [make_node(f"n{i}") for i in range(3)]
+        stale = NodeUsage(*[STALE] * 7)
+        ticks = [
+            [(nodes[0], usage), (nodes[2], stale)],
+            [(nodes[0], usage), (nodes[1], usage), (nodes[2], usage)],
+            [(nodes[1], stale), (nodes[2], usage)],
+        ]
+        fields = [f.name for f in dataclasses.fields(NodeUsage)]
+        legacy, columnar = MetricStore(), MetricStore()
+        exporter = VropsExporter()
+        for t, tick in enumerate(ticks):
+            for node, u in tick:
+                legacy.ingest(VropsExporter().scrape_node(node, u, 60.0 * t))
+            rows = np.array([[getattr(u, f) for f in fields] for _, u in tick])
+            emitted = exporter.emit_nodes(columnar, [n for n, _ in tick], rows, 60.0 * t)
+            assert emitted == 7 * len(tick)
         assert columnar.content_fingerprint() == legacy.content_fingerprint()
 
     def test_emit_region_matches_scrape_region_ingest(self, tiny_region):
@@ -270,16 +296,17 @@ class TestReferenceIndependence:
         assert '"placements"' in outcome.diff or "store_fingerprint" in outcome.diff
 
     def test_one_dropped_node_emit_is_caught(self, monkeypatch):
-        emit_node = VropsExporter.emit_node
+        emit_nodes = VropsExporter.emit_nodes
         stores = []
 
-        def lossy(self, store, node, usage, timestamp):
+        def lossy(self, store, nodes, usage, timestamp):
             if not any(s is store for s in stores):
                 stores.append(store)
-                return 0  # the first node scrape of each run never lands
-            return emit_node(self, store, node, usage, timestamp)
+                # The first node scrape of each run never lands.
+                nodes, usage = nodes[1:], usage[1:]
+            return emit_nodes(self, store, nodes, usage, timestamp)
 
-        monkeypatch.setattr(VropsExporter, "emit_node", lossy)
+        monkeypatch.setattr(VropsExporter, "emit_nodes", lossy)
         outcome = self._scrape_path_outcome()
         assert not outcome.ok
         assert '"samples"' in outcome.diff
@@ -322,3 +349,174 @@ class TestScrapePathSizing:
         monkeypatch.setattr(runner.DrsLoad, "many", recording)
         run_fault_scenario(SCENARIOS["dense"].scrape_path_scenario(7))
         assert max(sizes) > 30
+
+
+# -- per-node slot lists --------------------------------------------------------
+
+
+def _pair(config, spec=None):
+    """The simulator and the per-sample reference on one (topology, config)."""
+    spec = spec if spec is not None else build_tiny_region_spec()
+    return runner.RegionSimulation(spec, config), ReferenceSimulation(spec, config)
+
+
+def _outcome(sim):
+    return (
+        sim.store.content_fingerprint(),
+        sorted((vm_id, vm.node_id, vm.state.value) for vm_id, vm in sim.vms.items()),
+    )
+
+
+def _idle_config(**overrides):
+    """No arrivals and no initial VMs: each test places its own."""
+    values = dict(duration_days=1.0, arrival_rate_per_hour=0.0, initial_vms=0, seed=5)
+    values.update(overrides)
+    return runner.SimulationConfig(**values)
+
+
+def _place_with_demand(sim, vm_id, flavor_name, node_id):
+    """Place a VM the way ``_handle_create`` does, demand included."""
+    node = sim._node_index[node_id]
+    vm = VM(vm_id=vm_id, flavor=sim.catalog.get(flavor_name))
+    vm.transition(VMState.BUILDING)
+    vm.transition(VMState.ACTIVE)
+    sim.placement.claim(vm_id, node.building_block, vm.flavor.requested())
+    node.add_vm(vm)
+    sim.vms[vm_id] = vm
+    sim.demands[vm_id] = sim.demand_model.demand_for(vm.flavor)
+    return vm
+
+
+def _scrape_at(sim, t):
+    sim.engine.now = t
+    sim._handle_scrape(sim.engine, None)
+
+
+class TestSlotLists:
+    """Each node's table slots are reused while its resident set and its
+    residents' demands are unchanged, and rebuilt after any change; every
+    case is held byte for byte to the per-sample reference."""
+
+    A, B = "dc1-gp-00-node-000", "dc1-gp-00-node-001"
+
+    def _two_nodes(self, sim):
+        for i in range(3):
+            _place_with_demand(sim, f"a{i}", "g_c4_m16", self.A)
+            _place_with_demand(sim, f"b{i}", "g_c8_m32", self.B)
+
+    def _check(self, script, config=None):
+        outcomes = []
+        for sim in _pair(config or _idle_config()):
+            script(sim)
+            outcomes.append(_outcome(sim))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def test_every_registry_write_calls_the_hook(self):
+        seen = []
+        registry = runner.DemandRegistry(seen.append)
+        registry["a"] = 1
+        registry.update({"b": 2}, c=3)
+        registry.setdefault("d", 4)
+        registry.setdefault("a", 9)  # present: no write
+        registry |= {"e": 5}
+        registry.pop("a")
+        registry.pop("missing", None)
+        del registry["b"]
+        registry.popitem()
+        registry.clear()
+        assert seen == ["a", "b", "c", "d", "e", "a", "b", "c", "d", "e"]
+        assert registry == {}
+
+    def test_resizes_maintenance_and_drs_match_the_reference(self):
+        config = runner.SimulationConfig(
+            duration_days=1.0,
+            scrape_interval_s=900.0,
+            drs_interval_s=1800.0,
+            arrival_rate_per_hour=20.0,
+            resize_rate_per_hour=6.0,
+            maintenance_rate_per_day=8.0,
+            maintenance_duration_s=3 * 3600.0,
+            initial_vms=60,
+            seed=9,
+        )
+        fast, slow = (sim.run() for sim in _pair(config))
+        assert fast.resized > 0 and fast.maintenance_windows > 0
+        assert fast.drs_migrations > 0
+        assert {v: vm.node_id for v, vm in fast.vms.items()} == {
+            v: vm.node_id for v, vm in slow.vms.items()
+        }
+        assert (fast.resized, fast.resize_failed, fast.drs_migrations) == (
+            slow.resized,
+            slow.resize_failed,
+            slow.drs_migrations,
+        )
+        assert fast.store.content_fingerprint() == slow.store.content_fingerprint()
+
+    def test_replaced_demand_is_read_at_the_next_tick(self):
+        def script(sim):
+            self._two_nodes(sim)
+            _scrape_at(sim, 0.0)
+            sim.demands["a1"] = sim.demand_model.demand_for(sim.vms["a1"].flavor)
+            if type(sim) is runner.RegionSimulation:
+                assert "a1" not in sim._compiled  # recompiled lazily
+            _scrape_at(sim, 900.0)
+            if type(sim) is runner.RegionSimulation:
+                assert sim._compiled.get("a1").demand is sim.demands["a1"]
+
+        self._check(script)
+
+    def test_migration_rebuilds_both_nodes(self):
+        def script(sim):
+            self._two_nodes(sim)
+            _scrape_at(sim, 0.0)
+            migrate("a0", sim._node_index[self.A], sim._node_index[self.B])
+            _scrape_at(sim, 900.0)
+
+        self._check(script)
+
+    def test_remove_then_add_keeping_the_vm_count(self):
+        def script(sim):
+            self._two_nodes(sim)
+            _scrape_at(sim, 0.0)
+            a, b = sim._node_index[self.A], sim._node_index[self.B]
+            # Swap a0 and b2: both nodes keep three VMs, in a new order.
+            b.add_vm(a.remove_vm("a0"))
+            a.add_vm(b.remove_vm("b2"))
+            _scrape_at(sim, 900.0)
+
+        self._check(script)
+
+    def test_dead_lettered_vm_slot_is_reused(self):
+        faults = FaultConfig(
+            seed=11, evac_backoff_base_s=10.0, evac_batch_spacing_s=30.0, evac_max_retries=2
+        )
+        spec = TopologySpec(
+            region_id="r",
+            datacenters=(
+                DatacenterSpec(
+                    dc_id="dc1",
+                    az_id="az1",
+                    building_blocks=(BuildingBlockSpec(bb_id="bb0", node_count=2),),
+                ),
+            ),
+        )
+        config = _idle_config(faults=faults)
+        outcomes = []
+        for sim in _pair(config, spec):
+            # Both nodes full: every evacuation from node 0 dead-letters.
+            for n, node_id in enumerate(("bb0-node-000", "bb0-node-001")):
+                for i in range(8):
+                    _place_with_demand(sim, f"vm{n}-{i}", "g_c32_m256", node_id)
+            _scrape_at(sim, 0.0)
+            freed = dict(sim._compiled.slots) if type(sim) is runner.RegionSimulation else {}
+            sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
+            sim.engine.run_until(5000.0)
+            dead = sim.fault_report.dead_lettered_vms
+            assert len(dead) == 8
+            _place_with_demand(sim, "late", "g_c2_m8", "bb0-node-001")
+            _scrape_at(sim, 5000.0)
+            if freed:
+                assert sim._compiled.slots["late"] in {freed[vm_id] for vm_id in dead}
+            outcomes.append(_outcome(sim))
+        assert outcomes[0] == outcomes[1]
