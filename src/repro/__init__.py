@@ -28,9 +28,15 @@ Quickstart::
     print(fig9_contention_aggregate(dataset).head())
 """
 
-from repro.core.dataset import SAPCloudDataset
-from repro.datagen import GeneratorConfig, generate_dataset
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = ["SAPCloudDataset", "GeneratorConfig", "generate_dataset", "__version__"]
+_EXPORTS = {
+    "SAPCloudDataset": "core.dataset",
+    "GeneratorConfig": "datagen.config",
+    "generate_dataset": "datagen.generator",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,6 +9,7 @@ from repro.core.characterization import lifetime_by_flavor
 from repro.core.contention import contention_daily_stats, top_ready_time_nodes
 from repro.core.dataset import SAPCloudDataset
 from repro.core.heatmaps import HeatmapResult, free_resource_heatmap
+from repro.core.imbalance import bb_imbalance_report
 from repro.frame import Frame
 
 
@@ -52,8 +53,6 @@ def fig7_intra_bb_cpu_heatmap(
     imbalanced cluster whose hottest host reaches up to 99% CPU.
     """
     if bb_id is None:
-        from repro.core.imbalance import bb_imbalance_report
-
         report = bb_imbalance_report(dataset, resource="cpu")
         if len(report) == 0:
             raise ValueError("dataset has no building block telemetry")

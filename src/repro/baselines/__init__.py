@@ -7,33 +7,23 @@ and multi-dimensional vector packing) over abstract bins, with an evaluation
 harness measuring bins used, fragmentation, and waste.
 """
 
-from repro.baselines.binpacking import (
-    Bin,
-    Item,
-    PackingResult,
-    best_fit,
-    best_fit_decreasing,
-    first_fit,
-    first_fit_decreasing,
-    next_fit,
-    pack,
-    worst_fit,
-)
-from repro.baselines.spread import spread_pack
-from repro.baselines.evaluation import PackingMetrics, evaluate_packing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Item",
-    "Bin",
-    "PackingResult",
-    "first_fit",
-    "best_fit",
-    "worst_fit",
-    "next_fit",
-    "first_fit_decreasing",
-    "best_fit_decreasing",
-    "pack",
-    "spread_pack",
-    "PackingMetrics",
-    "evaluate_packing",
-]
+_EXPORTS = {
+    "Item": "binpacking",
+    "Bin": "binpacking",
+    "PackingResult": "binpacking",
+    "first_fit": "binpacking",
+    "best_fit": "binpacking",
+    "worst_fit": "binpacking",
+    "next_fit": "binpacking",
+    "first_fit_decreasing": "binpacking",
+    "best_fit_decreasing": "binpacking",
+    "pack": "binpacking",
+    "spread_pack": "spread",
+    "PackingMetrics": "evaluation",
+    "evaluate_packing": "evaluation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

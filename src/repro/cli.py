@@ -73,21 +73,24 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.report import render_experiments_report
-from repro.core.dataset import SAPCloudDataset
-from repro.datagen import GeneratorConfig, generate_dataset
-from repro.datagen.validation import validate_dataset
-from repro.telemetry.query import QueryError, evaluate
+if TYPE_CHECKING:
+    from repro.core.dataset import SAPCloudDataset
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        scale=args.scale,
-        days=args.days,
-        sampling_seconds=args.sampling,
-        seed=args.seed,
-    )
+    from repro.datagen import GeneratorConfig, generate_dataset
+
+    try:
+        config = GeneratorConfig(
+            scale=args.scale,
+            days=args.days,
+            sampling_seconds=args.sampling,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _config_error(f"repro: generate: {exc}") from exc
     print(
         f"Generating scale={config.scale} ({config.days} days at "
         f"{config.sampling_seconds}s sampling, seed {config.seed}) ...",
@@ -109,6 +112,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load(directory: str) -> SAPCloudDataset:
+    from repro.core.dataset import SAPCloudDataset
+
     path = Path(directory)
     if not (path / "meta.json").exists():
         raise SystemExit(f"{directory} is not a dataset archive (no meta.json)")
@@ -116,6 +121,8 @@ def _load(directory: str) -> SAPCloudDataset:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_experiments_report
+
     print(render_experiments_report(_load(args.dataset)))
     return 0
 
@@ -131,12 +138,16 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.datagen.validation import validate_dataset
+
     report = validate_dataset(_load(args.dataset))
     print(report.render())
     return 0 if report.passed else 1
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.telemetry.query import QueryError, evaluate
+
     dataset = _load(args.dataset)
     try:
         result = evaluate(dataset.store, args.expression)
@@ -304,25 +315,28 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.config import ScenarioSpec
     from repro.faults import FaultConfig
 
-    faults = FaultConfig(
-        seed=args.fault_seed if args.fault_seed is not None else args.seed,
-        host_failure_rate_per_day=args.failure_rate,
-        repair_time_mean_s=args.repair_hours * 3600.0,
-        migration_abort_fraction=args.abort_fraction,
-        scrape_gap_probability=args.gap_probability,
-        stale_node_probability=args.stale_probability,
-        evac_max_retries=args.evac_retries,
-    )
-    spec = ScenarioSpec(
-        topology="lab",
-        building_blocks=args.bbs,
-        nodes_per_bb=args.nodes_per_bb,
-        duration_days=args.days,
-        seed=args.seed,
-        arrival_rate_per_hour=args.arrival_rate,
-        initial_vms=args.initial_vms,
-        faults=faults,
-    )
+    try:
+        faults = FaultConfig(
+            seed=args.fault_seed if args.fault_seed is not None else args.seed,
+            host_failure_rate_per_day=args.failure_rate,
+            repair_time_mean_s=args.repair_hours * 3600.0,
+            migration_abort_fraction=args.abort_fraction,
+            scrape_gap_probability=args.gap_probability,
+            stale_node_probability=args.stale_probability,
+            evac_max_retries=args.evac_retries,
+        )
+        spec = ScenarioSpec(
+            topology="lab",
+            building_blocks=args.bbs,
+            nodes_per_bb=args.nodes_per_bb,
+            duration_days=args.days,
+            seed=args.seed,
+            arrival_rate_per_hour=args.arrival_rate,
+            initial_vms=args.initial_vms,
+            faults=faults,
+        )
+    except ValueError as exc:
+        raise _config_error(f"repro: faults: {exc}") from exc
     if args.config:
         data = _load_config_file(args.config, "faults")
         spec = _scenario_spec_from_config(data, spec, "faults", args.config)
@@ -385,19 +399,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         default_chaos_resilience,
     )
 
-    faults = (
-        default_chaos_faults(args.fault_seed)
-        if args.fault_seed is not None
-        else default_chaos_faults()
-    )
-    spec = ScenarioSpec(
-        topology="chaos",
-        duration_days=args.days,
-        seed=args.seed,
-        initial_vms=80,
-        faults=faults,
-        resilience=default_chaos_resilience(),
-    )
+    try:
+        faults = (
+            default_chaos_faults(args.fault_seed)
+            if args.fault_seed is not None
+            else default_chaos_faults()
+        )
+        spec = ScenarioSpec(
+            topology="chaos",
+            duration_days=args.days,
+            seed=args.seed,
+            initial_vms=80,
+            faults=faults,
+            resilience=default_chaos_resilience(),
+        )
+    except ValueError as exc:
+        raise _config_error(f"repro: chaos: {exc}") from exc
     if args.config:
         data = _load_config_file(args.config, "chaos")
         spec = _scenario_spec_from_config(data, spec, "chaos", args.config)

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
+from repro._finite import require_finite
 from repro.faults.config import FaultConfig
 from repro.infrastructure.topology import (
     BuildingBlockSpec,
@@ -65,16 +64,6 @@ _SCHEDULER_SCALAR_FIELDS = (
     "alternates",
     "use_index",
     "track_filter_counts",
-)
-
-#: Float fields that must be finite: a NaN or infinity would only fail
-#: later, deep in topology or simulation set-up, or in :meth:`sha256`.
-_FLOAT_FIELDS = (
-    "region_scale",
-    "duration_days",
-    "arrival_rate_per_hour",
-    "scrape_interval_s",
-    "drs_interval_s",
 )
 
 #: Nested sections of the canonical dict shape.
@@ -144,10 +133,9 @@ class ScenarioSpec:
                 f"topology must be one of {', '.join(TOPOLOGIES)}, "
                 f"got {self.topology!r}"
             )
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.building_blocks < 1 or self.nodes_per_bb < 1:
             raise ValueError("need at least one building block and node")
         if self.building_blocks_per_az < 1:

@@ -9,107 +9,54 @@ analytics (overcommit assessment, right-sizing, imbalance scoring,
 contention- and lifetime-aware placement).
 """
 
-from repro.core.dataset import SAPCloudDataset
-from repro.core.characterization import (
-    UTILIZATION_THRESHOLDS,
-    classify_utilization,
-    lifetime_by_flavor,
-    utilization_breakdown,
-    vm_size_tables,
-)
-from repro.core.contention import (
-    ContentionSummary,
-    contention_daily_stats,
-    contention_threshold_report,
-    top_ready_time_nodes,
-)
-from repro.core.heatmaps import HeatmapResult, free_resource_heatmap
-from repro.core.cdf import cdf_points, utilization_cdf
-from repro.core.imbalance import (
-    bb_imbalance_report,
-    fragmentation_score,
-    intra_bb_spread,
-)
-from repro.core.guidance import (
-    OvercommitAssessment,
-    RightsizingRecommendation,
-    assess_overcommit,
-    rightsizing_recommendations,
-)
-from repro.core.advanced_placement import (
-    ContentionAwareScheduler,
-    HolisticNodeScheduler,
-    LifetimeAwareScheduler,
-)
-from repro.core.clustering import ClusteringResult, cluster_workloads
-from repro.core.energy import EnergyReport, PowerModel, fleet_energy
-from repro.core.lifecycle import (
-    LifecycleSummary,
-    daily_event_counts,
-    lifecycle_summary,
-    population_trajectory,
-)
-from repro.core.noisy_neighbors import (
-    VictimExposure,
-    blast_radius,
-    victim_exposures,
-    victim_report,
-)
-from repro.core.oversubscription import (
-    MultiplexingGain,
-    multiplexing_report,
-    vm_multiplexing_gain,
-)
-from repro.core.temporal import (
-    NodeTemporalProfile,
-    static_node_share,
-    temporal_profiles,
-    temporal_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SAPCloudDataset",
-    "UTILIZATION_THRESHOLDS",
-    "classify_utilization",
-    "utilization_breakdown",
-    "vm_size_tables",
-    "lifetime_by_flavor",
-    "ContentionSummary",
-    "contention_daily_stats",
-    "top_ready_time_nodes",
-    "contention_threshold_report",
-    "HeatmapResult",
-    "free_resource_heatmap",
-    "cdf_points",
-    "utilization_cdf",
-    "intra_bb_spread",
-    "bb_imbalance_report",
-    "fragmentation_score",
-    "OvercommitAssessment",
-    "assess_overcommit",
-    "RightsizingRecommendation",
-    "rightsizing_recommendations",
-    "ContentionAwareScheduler",
-    "LifetimeAwareScheduler",
-    "HolisticNodeScheduler",
-    "ClusteringResult",
-    "cluster_workloads",
-    "PowerModel",
-    "EnergyReport",
-    "fleet_energy",
-    "LifecycleSummary",
-    "lifecycle_summary",
-    "daily_event_counts",
-    "population_trajectory",
-    "MultiplexingGain",
-    "vm_multiplexing_gain",
-    "multiplexing_report",
-    "VictimExposure",
-    "victim_exposures",
-    "victim_report",
-    "blast_radius",
-    "NodeTemporalProfile",
-    "temporal_profiles",
-    "temporal_summary",
-    "static_node_share",
-]
+_EXPORTS = {
+    "SAPCloudDataset": "dataset",
+    "UTILIZATION_THRESHOLDS": "characterization",
+    "classify_utilization": "characterization",
+    "utilization_breakdown": "characterization",
+    "vm_size_tables": "characterization",
+    "lifetime_by_flavor": "characterization",
+    "ContentionSummary": "contention",
+    "contention_daily_stats": "contention",
+    "top_ready_time_nodes": "contention",
+    "contention_threshold_report": "contention",
+    "HeatmapResult": "heatmaps",
+    "free_resource_heatmap": "heatmaps",
+    "cdf_points": "cdf",
+    "utilization_cdf": "cdf",
+    "intra_bb_spread": "imbalance",
+    "bb_imbalance_report": "imbalance",
+    "fragmentation_score": "imbalance",
+    "OvercommitAssessment": "guidance",
+    "assess_overcommit": "guidance",
+    "RightsizingRecommendation": "guidance",
+    "rightsizing_recommendations": "guidance",
+    "ContentionAwareScheduler": "advanced_placement",
+    "LifetimeAwareScheduler": "advanced_placement",
+    "HolisticNodeScheduler": "advanced_placement",
+    "ClusteringResult": "clustering",
+    "cluster_workloads": "clustering",
+    "PowerModel": "energy",
+    "EnergyReport": "energy",
+    "fleet_energy": "energy",
+    "LifecycleSummary": "lifecycle",
+    "lifecycle_summary": "lifecycle",
+    "daily_event_counts": "lifecycle",
+    "population_trajectory": "lifecycle",
+    "MultiplexingGain": "oversubscription",
+    "vm_multiplexing_gain": "oversubscription",
+    "multiplexing_report": "oversubscription",
+    "VictimExposure": "noisy_neighbors",
+    "victim_exposures": "noisy_neighbors",
+    "victim_report": "noisy_neighbors",
+    "blast_radius": "noisy_neighbors",
+    "NodeTemporalProfile": "temporal",
+    "temporal_profiles": "temporal",
+    "temporal_summary": "temporal",
+    "static_node_share": "temporal",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

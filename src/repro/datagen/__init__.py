@@ -8,14 +8,15 @@ characteristics of Figs 8–9, and the lifetime spectrum of Fig 15.  See
 DESIGN.md for the substitution rationale and the calibration target list.
 """
 
-from repro.datagen.config import GeneratorConfig
-from repro.datagen.population import FLAVOR_MIX, VMRecord, sample_population
-from repro.datagen.generator import generate_dataset
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeneratorConfig",
-    "FLAVOR_MIX",
-    "VMRecord",
-    "sample_population",
-    "generate_dataset",
-]
+_EXPORTS = {
+    "GeneratorConfig": "config",
+    "FLAVOR_MIX": "population",
+    "VMRecord": "population",
+    "sample_population": "population",
+    "generate_dataset": "generator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

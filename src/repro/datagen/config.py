@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._finite import require_finite
+
 #: 2024-07-31 00:00:00 UTC — the start of the paper's observation window.
 PAPER_WINDOW_START = 1_722_384_000.0
 
@@ -43,6 +45,9 @@ class GeneratorConfig:
     window_start: float = PAPER_WINDOW_START
 
     def __post_init__(self) -> None:
+        require_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.days < 1:

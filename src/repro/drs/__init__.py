@@ -16,18 +16,18 @@ building block, then cost-bounded cross-BB migrations per data center.
 Both layers balance on the one objective in :mod:`repro.drs.imbalance`.
 """
 
-from repro.drs.balancer import DrsBalancer, DrsConfig, Migration
-from repro.drs.recommendations import Recommendation, recommend_moves
-from repro.drs.affinity import AffinityRules
-from repro.drs.rebalance import RebalanceDriver, RebalanceReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DrsBalancer",
-    "DrsConfig",
-    "Migration",
-    "Recommendation",
-    "recommend_moves",
-    "AffinityRules",
-    "RebalanceDriver",
-    "RebalanceReport",
-]
+_EXPORTS = {
+    "DrsBalancer": "balancer",
+    "DrsConfig": "balancer",
+    "Migration": "balancer",
+    "Recommendation": "recommendations",
+    "recommend_moves": "recommendations",
+    "AffinityRules": "affinity",
+    "RebalanceDriver": "rebalance",
+    "RebalanceReport": "rebalance",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,34 +17,29 @@ The subsystem's parts:
   VMs through the scheduler with backoff, dead-lettering the unplaceable;
 - :mod:`repro.faults.crashpoints` — control-plane process death at named
   barriers (:class:`~repro.faults.crashpoints.CrashInjector`) and
-  byte-level journal corruption.  Imported separately (like
-  ``repro.faults.scenario``) because it depends on :mod:`repro.recovery`,
-  which would cycle back through this package.
+  byte-level journal corruption.
 
 Everything reports into one :class:`~repro.faults.report.FaultReport`,
-whose JSON rendering is byte-stable per seed.  ``repro.faults.scenario``
-(imported separately to avoid a cycle with the runner) packages a ready
-end-to-end scenario used by the CLI, the example, and the CI smoke test.
+whose JSON rendering is byte-stable per seed.  :mod:`repro.faults.scenario`
+packages a ready end-to-end scenario used by the CLI, the example, and the
+CI smoke test.
 """
 
-from repro.faults.config import FaultConfig
-from repro.faults.domains import ScrapePartition, domain_ids, domain_members
-from repro.faults.evacuation import EvacuationManager
-from repro.faults.injector import FaultInjector
-from repro.faults.migration import AbortedMigration, MigrationFaultModel
-from repro.faults.report import DeadLetter, FaultReport
-from repro.faults.telemetry import TelemetryFaultModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AbortedMigration",
-    "DeadLetter",
-    "EvacuationManager",
-    "FaultConfig",
-    "FaultInjector",
-    "FaultReport",
-    "MigrationFaultModel",
-    "ScrapePartition",
-    "TelemetryFaultModel",
-    "domain_ids",
-    "domain_members",
-]
+_EXPORTS = {
+    "AbortedMigration": "migration",
+    "DeadLetter": "report",
+    "EvacuationManager": "evacuation",
+    "FaultConfig": "config",
+    "FaultInjector": "injector",
+    "FaultReport": "report",
+    "MigrationFaultModel": "migration",
+    "ScrapePartition": "domains",
+    "TelemetryFaultModel": "telemetry",
+    "domain_ids": "domains",
+    "domain_members": "domains",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro._finite import require_finite
+
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -71,6 +73,9 @@ class FaultConfig:
     flapping_cycles: int = 4
 
     def __post_init__(self) -> None:
+        require_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.host_failure_rate_per_day < 0:
             raise ValueError("host_failure_rate_per_day must be >= 0")
         if self.repair_time_mean_s <= 0 or self.repair_time_min_s < 0:

@@ -8,21 +8,17 @@ forecast-driven weigher that steers placements away from hosts *about* to
 run hot.
 """
 
-from repro.forecasting.models import (
-    EwmaForecaster,
-    Forecast,
-    HoltLinearForecaster,
-    SeasonalNaiveForecaster,
-    evaluate_forecaster,
-)
-from repro.forecasting.proactive import ForecastWeigher, forecast_host_load
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Forecast",
-    "EwmaForecaster",
-    "HoltLinearForecaster",
-    "SeasonalNaiveForecaster",
-    "evaluate_forecaster",
-    "ForecastWeigher",
-    "forecast_host_load",
-]
+_EXPORTS = {
+    "Forecast": "models",
+    "EwmaForecaster": "models",
+    "HoltLinearForecaster": "models",
+    "SeasonalNaiveForecaster": "models",
+    "evaluate_forecaster": "models",
+    "ForecastWeigher": "proactive",
+    "forecast_host_load": "proactive",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

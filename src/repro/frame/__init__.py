@@ -7,8 +7,14 @@ selection, row filtering, group-by aggregation, sorting, joins, and CSV
 round-tripping.  Columns are numpy arrays, so vectorised math works directly.
 """
 
-from repro.frame.frame import Frame
-from repro.frame.groupby import GroupBy
-from repro.frame.csvio import read_csv, write_csv
+from repro._lazy import lazy_exports
 
-__all__ = ["Frame", "GroupBy", "read_csv", "write_csv"]
+_EXPORTS = {
+    "Frame": "frame",
+    "GroupBy": "groupby",
+    "read_csv": "csvio",
+    "write_csv": "csvio",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,6 +12,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.frame.groupby import GroupBy
+
 
 def _as_column(values: Any, length: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a 1-D numpy array, broadcasting scalars."""
@@ -230,10 +232,8 @@ class Frame:
 
     # -- group-by / join ------------------------------------------------------
 
-    def groupby(self, by: str | Sequence[str]) -> "GroupBy":
+    def groupby(self, by: str | Sequence[str]) -> GroupBy:
         """Group rows by one or more key columns."""
-        from repro.frame.groupby import GroupBy
-
         keys = [by] if isinstance(by, str) else list(by)
         return GroupBy(self, keys)
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.frame.frame import Frame
+if TYPE_CHECKING:
+    from repro.frame.frame import Frame
 
 AGGREGATIONS: dict[str, Callable[[np.ndarray], Any]] = {
     "sum": lambda a: np.sum(np.asarray(a, dtype=float)),
@@ -61,7 +62,7 @@ class GroupBy:
             for out_name, spec in specs.items():
                 record[out_name] = _apply(sub, spec)
             records.append(record)
-        return Frame.from_records(records)
+        return type(self._frame).from_records(records)
 
     def apply(self, func: Callable[[Frame], dict[str, Any]]) -> Frame:
         """Map each group's sub-frame through ``func`` returning a row dict."""
@@ -71,7 +72,7 @@ class GroupBy:
             record = dict(zip(self._keys, key))
             record.update(func(sub))
             records.append(record)
-        return Frame.from_records(records)
+        return type(self._frame).from_records(records)
 
     def size(self) -> Frame:
         """Row counts per group as a frame with a ``count`` column."""

@@ -6,40 +6,27 @@ whole BB as one compute host, while VMware DRS balances VMs across the nodes
 inside it.
 """
 
-from repro.infrastructure.capacity import Capacity, OvercommitPolicy
-from repro.infrastructure.flavors import Flavor, FlavorCatalog, default_catalog
-from repro.infrastructure.vm import VM, VMState
-from repro.infrastructure.hierarchy import (
-    AvailabilityZone,
-    BuildingBlock,
-    ComputeNode,
-    DataCenter,
-    Region,
-)
-from repro.infrastructure.topology import (
-    DatacenterSpec,
-    TopologySpec,
-    build_region,
-    paper_datacenter_table,
-    paper_region_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Capacity",
-    "OvercommitPolicy",
-    "Flavor",
-    "FlavorCatalog",
-    "default_catalog",
-    "VM",
-    "VMState",
-    "Region",
-    "AvailabilityZone",
-    "DataCenter",
-    "BuildingBlock",
-    "ComputeNode",
-    "DatacenterSpec",
-    "TopologySpec",
-    "build_region",
-    "paper_datacenter_table",
-    "paper_region_spec",
-]
+_EXPORTS = {
+    "Capacity": "capacity",
+    "OvercommitPolicy": "capacity",
+    "Flavor": "flavors",
+    "FlavorCatalog": "flavors",
+    "default_catalog": "flavors",
+    "VM": "vm",
+    "VMState": "vm",
+    "Region": "hierarchy",
+    "AvailabilityZone": "hierarchy",
+    "DataCenter": "hierarchy",
+    "BuildingBlock": "hierarchy",
+    "ComputeNode": "hierarchy",
+    "DatacenterSpec": "topology",
+    "TopologySpec": "topology",
+    "build_region": "topology",
+    "paper_datacenter_table": "topology",
+    "paper_region_spec": "topology",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,46 +6,23 @@ harness that interleaves its faults with crash-point injection and
 asserts every artifact recovers byte-identically or fails structurally.
 """
 
-from repro.iofaults.layer import (
-    FAULT_KINDS,
-    FaultSpec,
-    FaultyIO,
-    IoFaultError,
-    RealIO,
-    active_io,
-    atomic_write_bytes,
-    inject,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultSpec",
-    "FaultyIO",
-    "IoFaultError",
-    "RealIO",
-    "active_io",
-    "atomic_write_bytes",
-    "inject",
-    # lazily loaded from repro.iofaults.torture (imports recovery/verify):
-    "ARTIFACTS",
-    "TortureCase",
-    "TortureConfig",
-    "TortureReport",
-    "run_torture",
-]
-
-_TORTURE_EXPORTS = {
-    "ARTIFACTS",
-    "TortureCase",
-    "TortureConfig",
-    "TortureReport",
-    "run_torture",
+_EXPORTS = {
+    "FAULT_KINDS": "layer",
+    "FaultSpec": "layer",
+    "FaultyIO": "layer",
+    "IoFaultError": "layer",
+    "RealIO": "layer",
+    "active_io": "layer",
+    "atomic_write_bytes": "layer",
+    "inject": "layer",
+    "ARTIFACTS": "torture",
+    "TortureCase": "torture",
+    "TortureConfig": "torture",
+    "TortureReport": "torture",
+    "run_torture": "torture",
 }
 
-
-def __getattr__(name):
-    if name in _TORTURE_EXPORTS:
-        from repro.iofaults import torture
-
-        return getattr(torture, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

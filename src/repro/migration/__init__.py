@@ -8,13 +8,15 @@ downtime, and transferred volume, plus a planner that weighs migration
 cost against rebalancing benefit.
 """
 
-from repro.migration.precopy import MigrationEstimate, PrecopyModel
-from repro.migration.planner import MigrationPlan, MigrationPlanner, PlannedMove
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PrecopyModel",
-    "MigrationEstimate",
-    "MigrationPlanner",
-    "MigrationPlan",
-    "PlannedMove",
-]
+_EXPORTS = {
+    "PrecopyModel": "precopy",
+    "MigrationEstimate": "precopy",
+    "MigrationPlanner": "planner",
+    "MigrationPlan": "planner",
+    "PlannedMove": "planner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

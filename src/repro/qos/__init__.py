@@ -13,21 +13,21 @@ alignment scoring, a dedicated-core pinning allocator, and the scheduler
 filters/weighers wiring them into placement.
 """
 
-from repro.qos.classes import QOS_CLASSES, QosClass, qos_for_flavor
-from repro.qos.numa import NumaNode, NumaPlacement, NumaTopology
-from repro.qos.pinning import CpuPinningAllocator, PinningError
-from repro.qos.filters import NumaFitFilter, QosClassFilter, NumaAlignmentWeigher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QosClass",
-    "QOS_CLASSES",
-    "qos_for_flavor",
-    "NumaNode",
-    "NumaTopology",
-    "NumaPlacement",
-    "CpuPinningAllocator",
-    "PinningError",
-    "QosClassFilter",
-    "NumaFitFilter",
-    "NumaAlignmentWeigher",
-]
+_EXPORTS = {
+    "QosClass": "classes",
+    "QOS_CLASSES": "classes",
+    "qos_for_flavor": "classes",
+    "NumaNode": "numa",
+    "NumaTopology": "numa",
+    "NumaPlacement": "numa",
+    "CpuPinningAllocator": "pinning",
+    "PinningError": "pinning",
+    "QosClassFilter": "filters",
+    "NumaFitFilter": "filters",
+    "NumaAlignmentWeigher": "filters",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,61 +28,28 @@ corruption) lives in :mod:`repro.faults.crashpoints`, beside the rest of
 the fault models.
 """
 
-from repro.recovery.journal import (
-    DURABILITY_MODES,
-    JournalCorruption,
-    JournalScan,
-    JournalWriter,
-    read_journal,
-)
-from repro.recovery.run import (
-    CRASH_POINTS,
-    JournaledRun,
-    RecoveryError,
-    RecoveryInfo,
-    recover_and_continue,
-    run_journaled,
-)
-from repro.recovery.snapshot import (
-    SnapshotStore,
-    capture_rng_state,
-    restore_rng_state,
-)
+from repro._lazy import lazy_exports
 
-#: Harness exports resolved lazily (PEP 562): the harness imports
-#: :mod:`repro.faults.crashpoints`, which imports this package's journal
-#: module — eager import here would make that a cycle whenever
-#: ``repro.faults.crashpoints`` is imported first.
-_HARNESS_EXPORTS = frozenset(
-    {"CrashCycle", "CrashReport", "CorruptionCase", "run_crash_cycles"}
-)
+_EXPORTS = {
+    "CRASH_POINTS": "run",
+    "DURABILITY_MODES": "journal",
+    "CorruptionCase": "harness",
+    "CrashCycle": "harness",
+    "CrashReport": "harness",
+    "JournalCorruption": "journal",
+    "JournalScan": "journal",
+    "JournalWriter": "journal",
+    "JournaledRun": "run",
+    "RecoveryError": "run",
+    "RecoveryInfo": "run",
+    "SnapshotStore": "snapshot",
+    "capture_rng_state": "snapshot",
+    "read_journal": "journal",
+    "recover_and_continue": "run",
+    "restore_rng_state": "snapshot",
+    "run_crash_cycles": "harness",
+    "run_journaled": "run",
+}
 
-
-def __getattr__(name: str):
-    if name in _HARNESS_EXPORTS:
-        from repro.recovery import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CRASH_POINTS",
-    "DURABILITY_MODES",
-    "CorruptionCase",
-    "CrashCycle",
-    "CrashReport",
-    "JournalCorruption",
-    "JournalScan",
-    "JournalWriter",
-    "JournaledRun",
-    "RecoveryError",
-    "RecoveryInfo",
-    "SnapshotStore",
-    "capture_rng_state",
-    "read_journal",
-    "recover_and_continue",
-    "restore_rng_state",
-    "run_crash_cycles",
-    "run_journaled",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

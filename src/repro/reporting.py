@@ -33,8 +33,6 @@ from difflib import unified_diff
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from repro.iofaults.layer import atomic_write_bytes
-
 
 @runtime_checkable
 class Report(Protocol):
@@ -96,8 +94,12 @@ def write_report(report: Report, path: str | Path) -> Path:
     directory fsync — a crash *or power cut* mid-write leaves either the
     old artifact or the complete new one, never a torn file, and any
     failure surfaces as a structured
-    :class:`~repro.iofaults.layer.IoFaultError`.
+    :class:`~repro.iofaults.layer.IoFaultError`.  The storage layer is
+    imported here, not at the top, because most processes that build a
+    report never write one.
     """
+    from repro.iofaults.layer import atomic_write_bytes
+
     return atomic_write_bytes(
         Path(path), canonical_bytes(report), points="report"
     )

@@ -20,30 +20,24 @@ when ``SimulationConfig.resilience`` is set:
 
 Everything reports into one deterministic
 :class:`~repro.resilience.report.ResilienceReport`; the chaos scenario in
-:mod:`repro.resilience.chaos` (imported separately to avoid a cycle with
-the runner) is the end-to-end exercise the ``chaos-smoke`` CI job hashes.
+:mod:`repro.resilience.chaos` is the end-to-end exercise the ``chaos-smoke``
+CI job hashes.
 """
 
-from repro.resilience.admission import AdmissionController, AdmissionRejected
-from repro.resilience.config import ResilienceConfig
-from repro.resilience.health import HealthState, HostHealthService
-from repro.resilience.invariants import InvariantChecker
-from repro.resilience.reconciler import InventoryReconciler
-from repro.resilience.report import (
-    InvariantViolation,
-    InvariantViolationError,
-    ResilienceReport,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionRejected",
-    "HealthState",
-    "HostHealthService",
-    "InvariantChecker",
-    "InvariantViolation",
-    "InvariantViolationError",
-    "InventoryReconciler",
-    "ResilienceConfig",
-    "ResilienceReport",
-]
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "AdmissionRejected": "admission",
+    "HealthState": "health",
+    "HostHealthService": "health",
+    "InvariantChecker": "invariants",
+    "InvariantViolation": "report",
+    "InvariantViolationError": "report",
+    "InventoryReconciler": "reconciler",
+    "ResilienceConfig": "config",
+    "ResilienceReport": "report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro._finite import require_finite
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -76,6 +78,9 @@ class ResilienceConfig:
     fail_fast: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be positive")
         if self.flap_window_s <= 0 or self.flap_threshold < 2:

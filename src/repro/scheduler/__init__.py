@@ -8,88 +8,47 @@ provider inventories and consumer allocations, with greedy
 selection-plus-retries and alternates.
 """
 
-from repro.scheduler.request import RequestSpec
-from repro.scheduler.placement import (
-    Allocation,
-    AllocationError,
-    PlacementService,
-    ResourceProvider,
-)
-from repro.scheduler.filters import (
-    AggregateInstanceExtraSpecsFilter,
-    AllHostsFilter,
-    AvailabilityZoneFilter,
-    ComputeFilter,
-    DiskFilter,
-    Filter,
-    MaintenanceFilter,
-    NumInstancesFilter,
-    RamFilter,
-    TenantIsolationFilter,
-    VCpuFilter,
-)
-from repro.scheduler.weighers import (
-    CPUWeigher,
-    DiskWeigher,
-    FitnessWeigher,
-    IoOpsWeigher,
-    NumInstancesWeigher,
-    RAMWeigher,
-    Weigher,
-    WeigherPipeline,
-)
-from repro.scheduler.pipeline import (
-    FilterScheduler,
-    HostState,
-    NoValidHost,
-    SchedulingResult,
-)
-from repro.scheduler.config import SchedulerConfig
-from repro.scheduler.index import HostStateIndex, bucket_key
-from repro.scheduler.policies import pack_policy_weighers, spread_policy_weighers
-from repro.scheduler.stats import (
-    PLACEMENT_STAT_KEYS,
-    SCHEDULER_STAT_KEYS,
-    normalize_stats,
-    stats_of,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RequestSpec",
-    "PlacementService",
-    "ResourceProvider",
-    "Allocation",
-    "AllocationError",
-    "Filter",
-    "AllHostsFilter",
-    "ComputeFilter",
-    "RamFilter",
-    "VCpuFilter",
-    "DiskFilter",
-    "AvailabilityZoneFilter",
-    "AggregateInstanceExtraSpecsFilter",
-    "TenantIsolationFilter",
-    "MaintenanceFilter",
-    "NumInstancesFilter",
-    "Weigher",
-    "WeigherPipeline",
-    "CPUWeigher",
-    "RAMWeigher",
-    "DiskWeigher",
-    "NumInstancesWeigher",
-    "IoOpsWeigher",
-    "FitnessWeigher",
-    "FilterScheduler",
-    "HostState",
-    "SchedulingResult",
-    "NoValidHost",
-    "SchedulerConfig",
-    "HostStateIndex",
-    "bucket_key",
-    "pack_policy_weighers",
-    "spread_policy_weighers",
-    "SCHEDULER_STAT_KEYS",
-    "PLACEMENT_STAT_KEYS",
-    "normalize_stats",
-    "stats_of",
-]
+_EXPORTS = {
+    "RequestSpec": "request",
+    "PlacementService": "placement",
+    "ResourceProvider": "placement",
+    "Allocation": "placement",
+    "AllocationError": "placement",
+    "Filter": "filters",
+    "AllHostsFilter": "filters",
+    "ComputeFilter": "filters",
+    "RamFilter": "filters",
+    "VCpuFilter": "filters",
+    "DiskFilter": "filters",
+    "AvailabilityZoneFilter": "filters",
+    "AggregateInstanceExtraSpecsFilter": "filters",
+    "TenantIsolationFilter": "filters",
+    "MaintenanceFilter": "filters",
+    "NumInstancesFilter": "filters",
+    "Weigher": "weighers",
+    "WeigherPipeline": "weighers",
+    "CPUWeigher": "weighers",
+    "RAMWeigher": "weighers",
+    "DiskWeigher": "weighers",
+    "NumInstancesWeigher": "weighers",
+    "IoOpsWeigher": "weighers",
+    "FitnessWeigher": "weighers",
+    "FilterScheduler": "pipeline",
+    "HostState": "pipeline",
+    "SchedulingResult": "pipeline",
+    "NoValidHost": "pipeline",
+    "SchedulerConfig": "config",
+    "HostStateIndex": "index",
+    "bucket_key": "index",
+    "pack_policy_weighers": "policies",
+    "spread_policy_weighers": "policies",
+    "SCHEDULER_STAT_KEYS": "stats",
+    "PLACEMENT_STAT_KEYS": "stats",
+    "normalize_stats": "stats",
+    "stats_of": "stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

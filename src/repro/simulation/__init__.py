@@ -7,30 +7,23 @@ scrapes telemetry through the exporters into a metric store — reproducing
 the measurement pipeline of §4 end to end.
 """
 
-from repro.simulation.engine import Event, SimulationEngine
-from repro.simulation.events import (
-    DRS_RUN,
-    SCRAPE,
-    VM_CREATE,
-    VM_DELETE,
-    VM_MIGRATE,
-    VM_RESIZE,
-)
-from repro.simulation.hostsched import HostCpuModel, NodeWindowUsage
-from repro.simulation.runner import RegionSimulation, SimulationConfig, SimulationResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "SimulationEngine",
-    "VM_CREATE",
-    "VM_DELETE",
-    "VM_RESIZE",
-    "VM_MIGRATE",
-    "SCRAPE",
-    "DRS_RUN",
-    "HostCpuModel",
-    "NodeWindowUsage",
-    "RegionSimulation",
-    "SimulationConfig",
-    "SimulationResult",
-]
+_EXPORTS = {
+    "Event": "engine",
+    "SimulationEngine": "engine",
+    "VM_CREATE": "events",
+    "VM_DELETE": "events",
+    "VM_RESIZE": "events",
+    "VM_MIGRATE": "events",
+    "SCRAPE": "events",
+    "DRS_RUN": "events",
+    "HostCpuModel": "hostsched",
+    "NodeWindowUsage": "hostsched",
+    "RegionSimulation": "runner",
+    "SimulationConfig": "runner",
+    "SimulationResult": "runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,34 +10,23 @@ See :mod:`repro.sweep.engine` for the execution model and the
 byte-determinism contract (``--workers 1`` ≡ ``--workers N``).
 """
 
-from repro.sweep.engine import (
-    DEFAULT_DEADLINE_S,
-    SweepResumeError,
-    load_resume,
-    run_sweep,
-    run_sweep_inline,
-)
-from repro.sweep.grid import SweepCell, SweepGrid, grid_from_dict
-from repro.sweep.report import (
-    ShardFailure,
-    SweepReport,
-    SweepRunStats,
-    aggregate_cells,
-    merge_records,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_DEADLINE_S",
-    "ShardFailure",
-    "SweepCell",
-    "SweepGrid",
-    "SweepReport",
-    "SweepResumeError",
-    "SweepRunStats",
-    "aggregate_cells",
-    "grid_from_dict",
-    "load_resume",
-    "merge_records",
-    "run_sweep",
-    "run_sweep_inline",
-]
+_EXPORTS = {
+    "DEFAULT_DEADLINE_S": "engine",
+    "ShardFailure": "report",
+    "SweepCell": "grid",
+    "SweepGrid": "grid",
+    "SweepReport": "report",
+    "SweepResumeError": "engine",
+    "SweepRunStats": "report",
+    "aggregate_cells": "report",
+    "grid_from_dict": "grid",
+    "load_resume": "engine",
+    "merge_records": "report",
+    "run_sweep": "engine",
+    "run_sweep_inline": "engine",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

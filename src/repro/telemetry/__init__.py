@@ -9,29 +9,27 @@ catalogue, downsampling, and the CSV interchange format of the public
 dataset.
 """
 
-from repro.telemetry.timeseries import TimeSeries
-from repro.telemetry.store import MetricStore, Sample, SampleBlock
-from repro.telemetry.metrics import (
-    METRIC_CATALOG,
-    MetricSpec,
-    NOVA_METRICS,
-    VROPS_METRICS,
-    metric_table,
-)
-from repro.telemetry.downsample import downsample
-from repro.telemetry.exporters import NovaExporter, VropsExporter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TimeSeries",
-    "MetricStore",
-    "Sample",
-    "SampleBlock",
-    "MetricSpec",
-    "METRIC_CATALOG",
-    "VROPS_METRICS",
-    "NOVA_METRICS",
-    "metric_table",
-    "downsample",
-    "VropsExporter",
-    "NovaExporter",
-]
+_EXPORTS = {
+    "TimeSeries": "timeseries",
+    "MetricStore": "store",
+    "Sample": "store",
+    "SampleBlock": "store",
+    "MetricSpec": "metrics",
+    "METRIC_CATALOG": "metrics",
+    "VROPS_METRICS": "metrics",
+    "NOVA_METRICS": "metrics",
+    "metric_table": "metrics",
+    "downsample": "downsample",
+    "VropsExporter": "exporters",
+    "NovaExporter": "exporters",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+# ``downsample`` names a submodule and its function.  Importing the submodule
+# binds the module to this package's attribute, which would then shadow the
+# lazy export, so the function is bound here, after that import.
+from repro.telemetry.downsample import downsample  # noqa: E402

@@ -14,18 +14,19 @@ Five layers, unified behind ``repro verify``:
   CLI and CI consume.
 """
 
-from repro.verify.oracle import Mismatch, OracleResult, desync_index, run_oracle
-from repro.verify.runner import VerifyConfig, run_verify
-from repro.verify.scenarios import SCENARIOS, VerifyScenario, get_scenario
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Mismatch",
-    "OracleResult",
-    "SCENARIOS",
-    "VerifyConfig",
-    "VerifyScenario",
-    "desync_index",
-    "get_scenario",
-    "run_oracle",
-    "run_verify",
-]
+_EXPORTS = {
+    "Mismatch": "oracle",
+    "OracleResult": "oracle",
+    "SCENARIOS": "scenarios",
+    "VerifyConfig": "runner",
+    "VerifyScenario": "scenarios",
+    "desync_index": "oracle",
+    "get_scenario": "scenarios",
+    "run_oracle": "oracle",
+    "run_verify": "runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,34 +7,25 @@ Kubernetes infrastructure).  This package synthesises per-VM resource demand
 time series and lifetimes matching the published characteristics.
 """
 
-from repro.workloads.patterns import (
-    DemandPattern,
-    bursty,
-    composite,
-    constant,
-    diurnal,
-    ramp,
-    spike_train,
-    weekly,
-)
-from repro.workloads.profiles import WorkloadProfile, PROFILES, profile_for_flavor
-from repro.workloads.lifetime import LifetimeModel, sample_lifetime
-from repro.workloads.demand import DemandModel, VMDemand
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DemandPattern",
-    "constant",
-    "diurnal",
-    "weekly",
-    "bursty",
-    "ramp",
-    "spike_train",
-    "composite",
-    "WorkloadProfile",
-    "PROFILES",
-    "profile_for_flavor",
-    "LifetimeModel",
-    "sample_lifetime",
-    "DemandModel",
-    "VMDemand",
-]
+_EXPORTS = {
+    "DemandPattern": "patterns",
+    "constant": "patterns",
+    "diurnal": "patterns",
+    "weekly": "patterns",
+    "bursty": "patterns",
+    "ramp": "patterns",
+    "spike_train": "patterns",
+    "composite": "patterns",
+    "WorkloadProfile": "profiles",
+    "PROFILES": "profiles",
+    "profile_for_flavor": "profiles",
+    "LifetimeModel": "lifetime",
+    "sample_lifetime": "lifetime",
+    "DemandModel": "demand",
+    "VMDemand": "demand",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -517,3 +521,48 @@ def test_chaos_journal_unwritable_exits_2(blocked_out, capsys):
         capsys,
     )
     assert "--journal" in err and blocked_out in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["faults", "--days", "-1"], "duration_days must be positive"),
+        (["faults", "--days", "nan"], "duration_days must be finite, got nan"),
+        (
+            ["faults", "--failure-rate", "inf", "--days", "0.05"],
+            "host_failure_rate_per_day must be finite, got inf",
+        ),
+        (["faults", "--abort-fraction", "1.5"], "migration_abort_fraction must be within"),
+        (["chaos", "--days", "0"], "duration_days must be positive"),
+        (["chaos", "--days", "inf"], "duration_days must be finite, got inf"),
+        (["generate", "--out", "unused", "--scale", "-1"], "scale must be positive"),
+        (["generate", "--out", "unused", "--days", "0"], "days must be >= 1"),
+        (["generate", "--out", "unused", "--scale", "nan"], "scale must be finite, got nan"),
+        (["generate", "--out", "unused", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["faults", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["chaos", "--fault-seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+)
+def test_bad_number_flags_exit_2(argv, message, capsys):
+    err = _run_expecting_exit_2(argv, capsys)
+    assert err.startswith(f"repro: {argv[0]}: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
+def test_faults_infinite_failure_rate_exits_promptly(tmp_path):
+    """An infinite hazard rate used to schedule failures without end."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "faults",
+         "--failure-rate", "inf", "--days", "0.05"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "repro: faults: host_failure_rate_per_day must be finite, got inf\n"
+    )

@@ -1,6 +1,8 @@
 """Unit tests for the fault-injection building blocks (repro.faults)."""
 
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ class TestFaultConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"seed": -1},
             {"host_failure_rate_per_day": -1.0},
             {"repair_time_mean_s": 0.0},
             {"repair_time_min_s": -1.0},
@@ -48,6 +51,21 @@ class TestFaultConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FaultConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in fields(FaultConfig) if f.type == "float"]
+    )
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            FaultConfig(**{field: value})
+
+    def test_from_dict_rejects_json_infinity(self):
+        data = json.loads('{"host_failure_rate_per_day": Infinity}')
+        with pytest.raises(
+            ValueError, match="host_failure_rate_per_day must be finite, got inf"
+        ):
+            FaultConfig.from_dict(data)
 
 
 class TestFaultInjector:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"seed": -1},
             {"scale": 0},
             {"days": 0},
             {"sampling_seconds": 10},
@@ -29,6 +31,14 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GeneratorConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field", ["scale", "vms_per_node", "churn_fraction", "hotspot_fraction", "window_start"]
+    )
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            GeneratorConfig(**{field: value})
 
 
 class TestGeneratedDataset:

@@ -1,6 +1,8 @@
 """Tests for the control-plane resilience layer (repro.resilience)."""
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -66,6 +68,7 @@ class TestResilienceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"seed": -1},
             {"heartbeat_interval_s": 0.0},
             {"flap_threshold": 1},
             {"quarantine_backoff": 0.5},
@@ -79,6 +82,21 @@ class TestResilienceConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ResilienceConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in fields(ResilienceConfig) if f.type == "float"]
+    )
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            ResilienceConfig(**{field: value})
+
+    def test_from_dict_rejects_json_infinity(self):
+        data = json.loads('{"heartbeat_interval_s": Infinity}')
+        with pytest.raises(
+            ValueError, match="heartbeat_interval_s must be finite, got inf"
+        ):
+            ResilienceConfig.from_dict(data)
 
 
 class TestHostHealthService:

@@ -87,6 +87,7 @@ class TestValidation:
             {"region_scale": -0.1},
             {"scheduler_factory": "magic"},
             {"initial_vms": -1},
+            {"seed": -1},
         ],
     )
     def test_bad_scalars_rejected(self, kwargs):
