@@ -14,7 +14,6 @@ telemetry of the figure benchmarks comes from the faster vectorised
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
@@ -22,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro._finite import require_finite
 from repro.drs.balancer import DrsBalancer, DrsConfig
 from repro.faults import (
     EvacuationManager,
@@ -78,7 +78,7 @@ from repro.telemetry.timeseries import STALE
 from repro.workloads.demand import DemandModel, VMDemand
 from repro.workloads.lifetime import sample_lifetime
 from repro.workloads.profiles import profile_for_flavor
-from repro.workloads.waveform import DemandTable, compile_demand
+from repro.workloads.waveform import DemandTable
 
 #: Share of a node's physical cores its VMs can use (hypervisor overhead).
 HOST_CPU_EFFICIENCY = 0.97
@@ -119,7 +119,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         # A zero interval would schedule its recurring event forever, and an
-        # infinite one (or rate) would never stop scheduling.
+        # infinite one (or rate) would never stop scheduling.  The range
+        # checks reject NaN by name, so finiteness comes after them.
         for name in (
             "duration_days",
             "scrape_interval_s",
@@ -131,7 +132,6 @@ class SimulationConfig:
                 continue
             if not value > 0:
                 raise ValueError(f"SimulationConfig.{name} must be > 0, got {value!r}")
-            _require_finite(name, value)
         for name in (
             "arrival_rate_per_hour",
             "resize_rate_per_hour",
@@ -140,18 +140,13 @@ class SimulationConfig:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"SimulationConfig.{name} must be >= 0, got {value!r}")
-            _require_finite(name, value)
-        _require_finite("start_time", self.start_time)
-        vms = self.initial_vms
-        if not isinstance(vms, numbers.Integral) or isinstance(vms, bool) or vms < 0:
-            raise ValueError(
-                f"SimulationConfig.initial_vms must be an int >= 0, got {vms!r}"
-            )
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"SimulationConfig.{name} must be finite, got {value!r}")
+        require_finite(self, prefix="SimulationConfig.")
+        for name in ("initial_vms", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise ValueError(
+                    f"SimulationConfig.{name} must be an int >= 0, got {value!r}"
+                )
 
 
 @dataclass
@@ -325,13 +320,13 @@ class RegionSimulation:
         self._live = LiveVMIndex()
         #: Every write to a VM's demand (create, resize, ``drop_demand``,
         #: or a caller's own ``demands[vm_id] = ...``) first drops that
-        #: VM's compiled entry and its node's slot list.
+        #: VM's table entry and its node's slot list.
         self.demands = DemandRegistry(self._demand_written)
-        #: Per-VM compiled waveform evaluators and their batch rows, read
-        #: a batch at a time by the scrape tick and by DRS (:class:`DrsLoad`).
-        #: Compiled lazily, at a VM's first read; a present entry is current
-        #: by construction, since a demand write pops it and frees its slot.
-        self._compiled = DemandTable(self.rng)
+        #: Per-VM demands and their batch rows, read a batch at a time by
+        #: the scrape tick and by DRS (:class:`DrsLoad`).  Put lazily, at a
+        #: VM's first read; a present entry is current by construction,
+        #: since a demand write pops it and frees its slot.
+        self._demand_table = DemandTable(self.rng)
         #: node_id -> (residency memo, slots): each node's table slots in
         #: residency order, valid while ``node.residency()`` is that memo.
         self._slot_lists: dict[str, tuple[tuple, list[int]]] = {}
@@ -541,7 +536,7 @@ class RegionSimulation:
         self.deleted += 1
 
     def drop_demand(self, vm_id: str) -> None:
-        """Forget a VM's demand model and its compiled evaluator.
+        """Forget a VM's demand model and its table entry.
 
         Called when the VM leaves the simulation for good: on delete, and
         when an evacuation dead-letters it.
@@ -549,11 +544,11 @@ class RegionSimulation:
         self.demands.pop(vm_id, None)
 
     def _demand_written(self, vm_id: str) -> None:
-        """Before ``vm_id``'s demand changes: drop its compiled entry (which
+        """Before ``vm_id``'s demand changes: drop its table entry (which
         frees its slot) and the slot list of the node it is resident on.
         A VM this simulation did not create may sit on any node, so every
         list goes."""
-        self._compiled.pop(vm_id, None)
+        self._demand_table.pop(vm_id, None)
         vm = self.vms.get(vm_id)
         if vm is None:
             self._slot_lists.clear()
@@ -747,8 +742,8 @@ class RegionSimulation:
 
         The tick gathers its VMs in node order, then residency order, from
         each node's slot list (:meth:`_node_slots`), and reads their demand
-        in one :meth:`DemandTable.evaluate` batch, which equals the
-        compiled waveforms' scalar reads in that order, shared-RNG draws
+        in one :meth:`DemandTable.evaluate` batch, which equals
+        ``VMDemand.evaluate`` read VM by VM in that order, shared-RNG draws
         included.  Each node's five channels are summed as a left fold
         from 0.0 (``np.cumsum`` along a zero-padded row is sequential,
         unlike ``np.sum``), the node CPU windows come from one
@@ -791,7 +786,7 @@ class RegionSimulation:
         n = len(self._nodes)
         sums = np.zeros((5, n))
         if slots:
-            sums[:, live] = _fold_groups(self._compiled.evaluate(slots, now), counts)
+            sums[:, live] = _fold_groups(self._demand_table.evaluate(slots, now), counts)
         cpu_demand, mem_mb, tx, rx, disk = sums
         used, ready_ms, contention = self._host_cpu.resolve_series(
             cpu_demand, self.config.scrape_interval_s
@@ -811,7 +806,7 @@ class RegionSimulation:
 
     def _node_slots(self, node: ComputeNode) -> list[int]:
         """The table slots of ``node``'s VMs with a demand, in residency
-        order, compiling any VM not yet in the table.
+        order, putting any VM not yet in the table.
 
         Kept per node and reused while ``node.residency()`` is the same
         memo, i.e. until a VM is added or removed; a write to a resident's
@@ -821,7 +816,7 @@ class RegionSimulation:
         cached = self._slot_lists.get(node.node_id)
         if cached is not None and cached[0] is residency:
             return cached[1]
-        table = self._compiled
+        table = self._demand_table
         slot_of = table.slots
         demands = self.demands
         slots = []
@@ -832,7 +827,7 @@ class RegionSimulation:
                 demand = demands.get(vm_id)
                 if demand is None:
                     continue
-                slot = table.put(vm_id, compile_demand(demand))
+                slot = table.put(vm_id, demand)
             slots.append(slot)
         self._slot_lists[node.node_id] = (residency, slots)
         return slots
@@ -846,7 +841,7 @@ class RegionSimulation:
         :class:`~repro.verify.reference.ReferenceSimulation`, shared-RNG
         draws included.
         """
-        load_fn = DrsLoad(self.demands, self._compiled, engine.now)
+        load_fn = DrsLoad(self.demands, self._demand_table, engine.now)
         for bb in self._bb_index.values():
             if bb.policy == "pack":
                 continue  # DRS load-balancing is for spread BBs.
@@ -898,12 +893,13 @@ class DrsLoad:
     """The DRS load model at one instant: a VM's CPU demand in cores.
 
     A VM without a demand model loads its allocated vCPUs and draws
-    nothing.  ``load(vm)`` reads one VM through its compiled waveform;
-    ``load.many(vms)`` reads a list in one :meth:`DemandTable.evaluate`,
-    which equals ``[load(vm) for vm in vms]`` bit for bit and leaves the
-    shared generator where those calls would.  Both recompile a VM whose
-    demand object was replaced: ``demands`` may be any mapping, not only
-    the simulation's :class:`DemandRegistry`, which pops the entry itself.
+    nothing.  ``load.many(vms)`` reads a list in one
+    :meth:`DemandTable.evaluate`, equal bit for bit to ``VMDemand.evaluate``
+    read VM by VM at ``now``, shared-generator draws included;
+    ``load(vm)`` is a batch of one.  A VM whose demand object is not the
+    one in the table is put again first: ``demands`` may be any mapping,
+    not only the simulation's :class:`DemandRegistry`, which pops the
+    entry itself.
     """
 
     __slots__ = ("demands", "table", "now")
@@ -914,19 +910,12 @@ class DrsLoad:
         self.now = now
 
     def __call__(self, vm: VM) -> float:
-        demand = self.demands.get(vm.vm_id)
-        if demand is None:
-            return float(vm.flavor.vcpus)
-        cd = self.table.get(vm.vm_id)
-        if cd is None or cd.demand is not demand:
-            cd = compile_demand(demand)
-            self.table.put(vm.vm_id, cd)
-        return cd.evaluate(self.now)[0]
+        return self.many([vm])[0]
 
     def many(self, vms: list[VM]) -> list[float]:
         demands = self.demands
         table = self.table
-        compiled = table.get
+        current = table.get
         slot_of = table.slots
         slots = []
         allocated = []  # (position, vCPUs) of the VMs without a demand
@@ -935,12 +924,10 @@ class DrsLoad:
             demand = demands.get(vm_id)
             if demand is None:
                 allocated.append((i, float(vm.flavor.vcpus)))
-                continue
-            cd = compiled(vm_id)
-            if cd is None or cd.demand is not demand:
-                slots.append(table.put(vm_id, compile_demand(demand)))
-            else:
+            elif current(vm_id) is demand:
                 slots.append(slot_of[vm_id])
+            else:
+                slots.append(table.put(vm_id, demand))
         loads = table.evaluate(slots, self.now)[0].tolist() if slots else []
         for i, value in allocated:  # ascending, so each lands at its position
             loads.insert(i, value)

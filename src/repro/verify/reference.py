@@ -6,11 +6,12 @@ correct route: every VM's demand comes from ``VMDemand.evaluate`` on a
 one-element timestamp array, every sample is a
 :class:`~repro.telemetry.store.Sample` from ``scrape_node`` /
 ``scrape_region``, and the whole tick goes through ``store.ingest``.  It
-shares nothing with the simulator's compiled waveforms or series handles,
+shares nothing with the simulator's batch demand table or series handles,
 so a run of each on the same (topology, config) must agree byte for byte:
-the compiled evaluators replay ``evaluate``'s float operations and its RNG
-consumption exactly, and the series handles are resolved in the order the
-per-sample ingest first touches each series.
+the table's one evaluator replays ``evaluate``'s float operations and its
+RNG consumption exactly on a one-element grid, with ``VMDemand.evaluate``
+itself as its only fallback, and the series handles are resolved in the
+order the per-sample ingest first touches each series.
 
 The reference lives here, not behind a runtime switch in the simulator,
 because it exists only to be compared against.

@@ -9,12 +9,13 @@ increasing CPU demand, §5.1), and spike trains.
 
 Every factory attaches a structured ``basis`` attribute to the closure it
 returns — a tuple naming the pattern kind and its parameters.  The
-simulation's scalar fast path (:mod:`repro.workloads.waveform`) compiles
-these descriptions into per-VM scalar evaluators instead of calling the
-vectorised closures once per VM per read; closures without a
-``basis`` (hand-written lambdas in tests) simply fall back to the closure
-call.  The metadata is descriptive only: evaluation behaviour and RNG
-consumption of the closures themselves are unchanged.
+simulation's demand table and datagen's grid evaluator
+(:mod:`repro.workloads.waveform`) read these descriptions into parameter
+rows instead of calling the vectorised closures once per VM per read; a
+VM whose patterns they cannot read (hand-written lambdas in tests) is
+evaluated by its own closures.  The metadata is descriptive only:
+evaluation behaviour and RNG consumption of the closures themselves are
+unchanged.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Per-VM demand waveforms, read one VM at a time or a whole batch at once.
+"""Per-VM demand waveforms, read as a batch at one timestamp or over a grid.
 
 The simulation reads every VM's demand at a single timestamp: once per
 900 s scrape tick, and again for every DRS load read at the pass's
@@ -7,76 +7,59 @@ The simulation reads every VM's demand at a single timestamp: once per
 them with one-element arrays allocates half a dozen temporaries plus a
 :class:`~repro.workloads.demand.DemandSnapshot` per VM per read.
 
-:func:`compile_demand` turns one :class:`~repro.workloads.demand.VMDemand`
-into a :class:`CompiledDemand` whose ``evaluate(t)`` returns plain floats
-and is bit-identical to ``demand.evaluate(np.asarray([t]))`` — including
-RNG stream consumption, so a simulation run stays byte-identical to the
-per-sample reference in :mod:`repro.verify.reference`.  The compiler
-reads the ``basis`` metadata the pattern factories attach:
+So the simulation reads demand through one :class:`DemandTable`.
+``put(vm_id, demand)`` reads the ``basis`` metadata the pattern
+factories attach and writes a parameter *row* for the four base shapes
+the profiles build (constant or ramp, diurnal × weekly, bursty,
+max(constant, spike)), each under a top-level noise; the table keeps one
+row per VM in numpy columns, and :meth:`DemandTable.evaluate` computes a
+whole batch's bases, noise, clips and scaling as array ops.  The
+scrape tick reads every resident VM in one batch, and DRS reads each
+node-load pass and each source scan the same way
+(``repro.simulation.runner.DrsLoad``).
 
-- phase-free shapes (``constant``; ``ramp``, which always reports its
-  start level at single-timestamp evaluation because progress is measured
-  from ``ts[0]``) collapse to a precomputed constant;
-- ``weekly`` and ``spike`` (fmod, floor, comparisons) and ``diurnal``
-  are re-derived as scalar expressions on Python floats, which share
-  float64's operations bit for bit.  The diurnal's ``** 2`` becomes
-  ``z * z`` (what numpy's square fast path computes), ``np.minimum`` a
-  branch, and its ``exp`` stays ``np.exp`` on a Python float: the
-  scalar ufunc rounds like the one-element array call, whereas
-  ``math.exp`` differs from it in the last ulp on some inputs;
-- ``bursty`` draws one uniform per evaluation (``ceil(1/correlation)`` is
-  1), replicated as a scalar draw — scalar and size-1 Generator draws
-  advance the stream identically;
-- anything without usable metadata (hand-written closures in tests) falls
-  back to calling the closure with a one-element array, which is always
-  correct, just not fast.
+A batch equals, bit for bit, ``VMDemand.evaluate`` on the one-element
+grid ``[now]`` called VM by VM in slot order, and leaves the shared
+generator where those calls would.  That call is the table's only
+fallback and the reference the ``scrape_path`` gate compares the
+simulation against (:mod:`repro.verify.reference`).  The rows rely on
+what a one-element grid makes of each closure:
 
-:class:`CompiledDemand` handles each channel's top-level ``noise`` itself:
-it keeps the inner pattern's scalar function, the noise sigma and the
-bound ``rng.normal``, so a read is the base call, one scalar Gaussian and
-two clip branches.  The branches match ``np.clip`` bitwise, including the
-``-0.0`` corner (np.clip keeps it).  A nested ``noise``, which no profile
-builds, takes the one-element fallback.  Bases and noise run on every
-read, so the count and order of shared-RNG draws are exactly those of the
-numpy path.
+- a ramp measures progress from ``ts[0]``, so it reads as its start
+  level;
+- a bursty shape draws ``ceil(1 / correlation)`` uniforms, i.e. one;
+- the diurnal's ``** 2`` is what numpy's square fast path computes,
+  ``z * z``; array ``np.exp`` and ``np.remainder`` equal the one-element
+  calls bit for bit.
+
+The draws keep the closures' stream order (cpu shape draws, cpu noise,
+mem shape draws, mem noise): each maximal run of Gaussians is one
+``standard_normal`` call, scaled as ``0.0 + sigma * gauss`` (which is
+what ``rng.normal(0.0, sigma)`` computes, draw for draw), a bursty
+channel's uniform breaks the run, and a VM without a row (*opaque*: any
+other shape, a channel without noise or on another generator, a nested
+noise, a hand-written stand-in) breaks it by calling its own
+``evaluate`` in place.  ``tests/test_demand_batch.py`` guards the numpy
+facts by name, and that the batch equals the sequence of reference
+reads.
 
 Datagen evaluates every VM over its window of one sampling grid through
 :func:`evaluate_windows`, from the same metadata: :func:`_read_channel`
 is the one reader of a channel's shape (kind, parameters, generators),
-shared by the table rows below and the grid blocks.  It keeps a ramp's
-end level and duration and a bursty shape's correlation, which a
+shared by the table rows and the grid blocks.  It keeps a ramp's end
+level and duration and a bursty shape's correlation, which a
 single-timestamp read does not use.
 
-The scrape tick reads every resident VM at once through a
-:class:`DemandTable`, and DRS reads each node-load pass and each source
-scan the same way (``repro.simulation.runner.DrsLoad``).
-:meth:`CompiledDemand.row` reads the same ``basis`` metadata as the
-scalar closures and gives a parameter *row* for the four base shapes the
-profiles build (constant or ramp, diurnal × weekly, bursty, max(constant,
-spike)), each under a top-level noise; the table keeps one row per VM in
-numpy columns and :meth:`DemandTable.evaluate` computes a whole batch's
-bases, noise, clips and scaling as array ops.  Its shared-RNG draws keep the scalar stream
-order: each maximal run of Gaussians is one ``standard_normal`` call,
-scaled as ``0.0 + sigma * gauss`` (which is what ``rng.normal(0.0,
-sigma)`` computes, draw for draw), a bursty channel's uniform breaks the
-run, and a VM without a row (*opaque*: any other shape, a channel
-without noise or on another generator, a hand-written stand-in) breaks
-it by calling its own ``evaluate(t)`` in place.  Array ``np.exp`` and
-``np.remainder`` equal the scalar ``np.exp`` and Python ``%`` bit for
-bit; ``tests/test_demand_batch.py`` guards these numpy facts by name, and
-that the batch equals the sequence of scalar reads.
-
-The simulation keeps one ``CompiledDemand`` per VM in its table,
-compiled at the VM's first read.  Every write to a VM's registered
-:class:`VMDemand` (create, resize, departure) pops the entry first and
-frees its slot for the next VM, so an entry present in the table is
-current (``repro.simulation.runner.DemandRegistry``).
+The simulation puts a VM's demand in its table at the VM's first read.
+Every write to a VM's registered :class:`VMDemand` (create, resize,
+departure) pops the entry first and frees its slot for the next VM, so
+an entry present in the table is current
+(``repro.simulation.runner.DemandRegistry``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -85,145 +68,10 @@ from repro.workloads.patterns import SECONDS_PER_DAY
 
 _DAY = float(SECONDS_PER_DAY)
 
-ScalarPattern = Callable[[float], float]
-
 
 def _is_weekend(t: float) -> bool:
     """The weekly pattern's day test: epoch day 0 was a Thursday."""
     return (int(math.floor(t / _DAY)) + 3) % 7 >= 5  # 0 = Monday
-
-
-def _fallback(pattern) -> ScalarPattern:
-    """Call the vectorised closure with a one-element grid (always exact)."""
-
-    def fn(t: float) -> float:
-        return float(pattern(np.asarray([t], dtype=float))[0])
-
-    return fn
-
-
-def compile_pattern(pattern) -> ScalarPattern:
-    """A scalar evaluator bit-identical to ``pattern(np.asarray([t]))[0]``."""
-    basis = getattr(pattern, "basis", None)
-    if basis is None:
-        return _fallback(pattern)
-    kind = basis[0]
-
-    if kind == "constant":
-        level = float(basis[1])
-        return lambda t: level
-
-    if kind == "ramp":
-        # Single-timestamp grids measure progress from ts[0], i.e. zero:
-        # the closure always answers its start level.
-        start = float(basis[1])
-        return lambda t: start
-
-    if kind == "weekly":
-        weekday_scale = float(basis[1])
-        weekend_scale = float(basis[2])
-
-        def weekly_fn(t: float) -> float:
-            return weekend_scale if _is_weekend(t) else weekday_scale
-
-        return weekly_fn
-
-    if kind == "spike":
-        base, spike_level, period, spike_width, phase = (
-            float(x) for x in basis[1:]
-        )
-
-        def spike_fn(t: float) -> float:
-            return spike_level if ((t + phase) % period) < spike_width else base
-
-        return spike_fn
-
-    if kind == "diurnal":
-        base, peak, peak_hour, width_hours = (float(x) for x in basis[1:])
-        swing = peak - base
-
-        def diurnal_fn(t: float) -> float:
-            # The closure's expression, operation for operation.
-            hour = (t % _DAY) / 3600.0
-            a = abs(hour - peak_hour)
-            b = 24.0 - a
-            z = (a if a <= b else b) / width_hours
-            return base + swing * float(np.exp(-0.5 * (z * z)))
-
-        return diurnal_fn
-
-    if kind == "bursty":
-        rng = getattr(pattern, "rng", None)
-        if rng is None:
-            return _fallback(pattern)
-        base = float(basis[1])
-        burst_level = float(basis[2])
-        burst_probability = float(basis[3])
-
-        def bursty_fn(t: float) -> float:
-            # One Bernoulli per evaluation: ceil(1/correlation) == 1, and
-            # a scalar uniform advances the stream exactly like random(1).
-            return burst_level if rng.random() < burst_probability else base
-
-        return bursty_fn
-
-    if kind == "composite":
-        children = getattr(pattern, "children", None)
-        if children is None:
-            return _fallback(pattern)
-        mode = basis[1]
-        fns = tuple(compile_pattern(p) for p in children)
-
-        if mode == "max":
-
-            def max_fn(t: float) -> float:
-                v = fns[0](t)
-                for f in fns[1:]:
-                    w = f(t)
-                    if w > v:
-                        v = w
-                return v
-
-            return max_fn
-
-        if mode == "sum":
-
-            def sum_fn(t: float) -> float:
-                v = fns[0](t)
-                for f in fns[1:]:
-                    v = v + f(t)
-                if v < 0.0:
-                    return 0.0
-                if v > 1.0:
-                    return 1.0
-                return v
-
-            return sum_fn
-
-        def prod_fn(t: float) -> float:
-            v = fns[0](t)
-            for f in fns[1:]:
-                v = v * f(t)
-            return v
-
-        return prod_fn
-
-    return _fallback(pattern)
-
-
-def _split_noise(pattern) -> tuple[object, float, np.random.Generator | None]:
-    """``(base, sigma, rng)`` for one demand channel.
-
-    A top-level ``noise`` pattern splits into its inner pattern and the
-    generator whose ``normal`` perturbs it; any other pattern is its own
-    base with no noise (``rng`` is None).
-    """
-    basis = getattr(pattern, "basis", None)
-    inner = getattr(pattern, "inner", None)
-    rng = getattr(pattern, "rng", None)
-    if basis is not None and basis[0] == "noise" and inner is not None and rng is not None:
-        return inner, pattern.sigma, rng
-    return pattern, 0.0, None
 
 
 # -- batch rows ---------------------------------------------------------------
@@ -286,13 +134,14 @@ def _read_channel(pattern) -> tuple[float, tuple, object, float, object] | None:
     ``shape_rng`` is the generator the shape draws from (bursty only,
     else None); ``noise_rng`` the one its Gaussian noise draws from.
     """
-    base, sigma, noise_rng = _split_noise(pattern)
-    if noise_rng is None:
+    inner = getattr(pattern, "inner", None)
+    noise_rng = getattr(pattern, "rng", None)
+    if _kind(pattern) != "noise" or inner is None or noise_rng is None:
         return None
-    shape = _shape_row(base)
+    shape = _shape_row(inner)
     if shape is None:
         return None
-    return (*shape, float(sigma), noise_rng)
+    return (*shape, float(pattern.sigma), noise_rng)
 
 
 def _channel_row(pattern, rng) -> tuple | None:
@@ -321,89 +170,41 @@ def _scale(demand: VMDemand) -> tuple[float, float, float, float]:
     return flavor.vcpus, flavor.ram_mb, net_rate, demand.disk_used_fraction * flavor.disk_gb
 
 
-class CompiledDemand:
-    """Scalar twin of one VM's :class:`VMDemand`.
-
-    ``evaluate(t)`` returns ``(cpu_cores, memory_mb, network_tx_kbps,
-    network_rx_kbps, disk_gb)`` as plain floats, bit-identical to the
-    corresponding columns of ``demand.evaluate(np.asarray([t]))`` and
-    consuming the shared RNG stream in the same order (cpu base draws,
-    cpu noise, mem base draws, mem noise).
-
-    :meth:`row` gives the VM's :class:`DemandTable` row.
-    """
-
-    __slots__ = (
-        "demand",
-        "_cpu_base",
-        "_cpu_sigma",
-        "_cpu_normal",
-        "_mem_base",
-        "_mem_sigma",
-        "_mem_normal",
-        "_vcpus",
-        "_ram_mb",
-        "_net_rate",
-        "_disk_gb",
-    )
-
-    def __init__(self, demand: VMDemand) -> None:
-        self.demand = demand
-        cpu_base, self._cpu_sigma, cpu_rng = _split_noise(demand.cpu_pattern)
-        self._cpu_base = compile_pattern(cpu_base)
-        self._cpu_normal = cpu_rng.normal if cpu_rng is not None else None
-        mem_base, self._mem_sigma, mem_rng = _split_noise(demand.mem_pattern)
-        self._mem_base = compile_pattern(mem_base)
-        self._mem_normal = mem_rng.normal if mem_rng is not None else None
-        self._vcpus, self._ram_mb, self._net_rate, self._disk_gb = _scale(demand)
-
-    def row(self, rng: np.random.Generator) -> tuple | None:
-        """This VM's :class:`DemandTable` row, read from the same
-        ``basis`` metadata as the scalar closures, or None (*opaque*)
-        unless both channels are row shapes drawing only from ``rng``.
-
-        Built on request rather than kept, so a compiled VM costs no more
-        memory than its row in the table.
-        """
-        cpu = _channel_row(self.demand.cpu_pattern, rng)
-        mem = _channel_row(self.demand.mem_pattern, rng)
-        if cpu is None or mem is None:
-            return None
-        return (self._vcpus, self._ram_mb, self._net_rate, self._disk_gb, *cpu, *mem)
-
-    def evaluate(self, t: float) -> tuple[float, float, float, float, float]:
-        cpu = self._cpu_base(t)
-        if self._cpu_normal is not None:
-            cpu = cpu + self._cpu_normal(0.0, self._cpu_sigma)
-        if cpu < 0.0:
-            cpu = 0.0
-        elif cpu > 1.0:
-            cpu = 1.0
-        mem = self._mem_base(t)
-        if self._mem_normal is not None:
-            mem = mem + self._mem_normal(0.0, self._mem_sigma)
-        if mem < 0.0:
-            mem = 0.0
-        elif mem > 1.0:
-            mem = 1.0
-        net = self._net_rate * cpu
-        return (
-            cpu * self._vcpus,
-            mem * self._ram_mb,
-            net,
-            net * 0.8,
-            self._disk_gb,
-        )
+def _demand_row(demand, rng: np.random.Generator) -> tuple | None:
+    """``demand``'s :class:`DemandTable` row, read from the ``basis``
+    metadata of its patterns, or None (*opaque*) unless it is a
+    :class:`VMDemand` whose two channels are row shapes drawing only from
+    ``rng``."""
+    if type(demand) is not VMDemand:
+        return None
+    cpu = _channel_row(demand.cpu_pattern, rng)
+    mem = _channel_row(demand.mem_pattern, rng)
+    if cpu is None or mem is None:
+        return None
+    return (*_scale(demand), *cpu, *mem)
 
 
-def compile_demand(demand: VMDemand) -> CompiledDemand:
-    """Compile one VM's demand model for scalar single-timestamp evaluation."""
-    return CompiledDemand(demand)
+def _columns(snapshot) -> list[np.ndarray]:
+    """A snapshot's five resource columns, in the table's row order."""
+    return [
+        snapshot.cpu_cores,
+        snapshot.memory_mb,
+        snapshot.network_tx_kbps,
+        snapshot.network_rx_kbps,
+        snapshot.disk_gb,
+    ]
+
+
+def _evaluate_one(demand, t: float) -> list:
+    """How the table reads an opaque VM: ``demand.evaluate`` on the
+    one-element grid ``[t]``, as five values."""
+    return [c[0] for c in _columns(demand.evaluate(np.asarray([t], dtype=float)))]
 
 
 def _channel_values(block, noise, uniforms, t: float, hour: float, weekend: bool):
-    """Clipped ratios of channel blocks (cpu and mem alike): the scalar
-    base functions and clip branches above, as array ops."""
+    """Clipped ratios of channel blocks (cpu and mem alike) at one
+    timestamp: each closure's expression on a one-element grid, as array
+    ops over the blocks."""
     kind = block[:, 0]
     p = block[:, 2:]
     base = p[:, 0].copy()  # constant and ramp: the (start) level
@@ -549,14 +350,7 @@ def _evaluate_block(demands, windows, grid, hour, weekend):
     for r, window in enumerate(windows):
         snapshot = own.get(r)
         if snapshot is not None:
-            columns = [
-                snapshot.cpu_cores,
-                snapshot.memory_mb,
-                snapshot.network_tx_kbps,
-                snapshot.network_rx_kbps,
-                snapshot.disk_gb,
-            ]
-            yield snapshot.cpu_ratio, snapshot.memory_ratio, columns
+            yield snapshot.cpu_ratio, snapshot.memory_ratio, _columns(snapshot)
             continue
         w = slice(window[0] - lo, window[1] - lo)
         yield ratio[2 * r, w], ratio[2 * r + 1, w], resources[r, :, w]
@@ -603,37 +397,37 @@ def _grid_bases(rows, ts, hour, weekend, uniforms) -> np.ndarray:
 
 
 class DemandTable:
-    """Every compiled VM's evaluator, and its row in one numpy table.
+    """Every read VM's :class:`VMDemand`, and its row in one numpy table.
 
-    A registry ``vm_id -> compiled`` (``get``, ``in``, iteration, ``pop``)
+    A registry ``vm_id -> demand`` (``get``, ``in``, iteration, ``pop``)
     that also gives each VM a *slot*, a row of :attr:`rows`; a popped
-    VM's slot goes to a free list for the next VM.  A compiled object with
-    no ``row`` for the table's generator is *opaque*: :meth:`evaluate`
-    calls its own ``evaluate``.
+    VM's slot goes to a free list for the next VM.  A demand without a
+    row for the table's generator (:func:`_demand_row`) is *opaque*:
+    :meth:`evaluate` reads it through its own ``evaluate``.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self._compiled: dict[str, object] = {}
+        self._demands: dict[str, object] = {}
         #: vm_id -> slot.
         self.slots: dict[str, int] = {}
-        self._by_slot: list = []  # slot -> compiled object, None when free
+        self._by_slot: list = []  # slot -> demand, None when free
         self._free: list[int] = []
         self.rows = np.zeros((64, _WIDTH))
-        self.get = self._compiled.get
+        self.get = self._demands.get
 
     def __contains__(self, vm_id) -> bool:
-        return vm_id in self._compiled
+        return vm_id in self._demands
 
     def __iter__(self):
-        return iter(self._compiled)
+        return iter(self._demands)
 
     def __len__(self) -> int:
-        return len(self._compiled)
+        return len(self._demands)
 
-    def put(self, vm_id: str, compiled) -> int:
-        """Register ``compiled`` for ``vm_id`` (replacing any earlier one)
-        and return its slot."""
+    def put(self, vm_id: str, demand) -> int:
+        """Register ``demand`` for ``vm_id`` (replacing any earlier one),
+        write its row, and return its slot."""
         slot = self.slots.get(vm_id)
         if slot is None:
             if self._free:
@@ -644,10 +438,9 @@ class DemandTable:
                 if slot == len(self.rows):
                     self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
             self.slots[vm_id] = slot
-        self._compiled[vm_id] = compiled
-        self._by_slot[slot] = compiled
-        row_of = getattr(compiled, "row", None)
-        row = row_of(self.rng) if row_of is not None else None
+        self._demands[vm_id] = demand
+        self._by_slot[slot] = demand
+        row = _demand_row(demand, self.rng)
         if row is not None:
             self.rows[slot] = row
         else:
@@ -656,22 +449,23 @@ class DemandTable:
         return slot
 
     def pop(self, vm_id: str, default=None):
-        """Forget ``vm_id``'s evaluator and free its slot."""
-        compiled = self._compiled.pop(vm_id, None)
-        if compiled is None:
+        """Forget ``vm_id``'s demand and free its slot."""
+        demand = self._demands.pop(vm_id, None)
+        if demand is None:
             return default
         slot = self.slots.pop(vm_id)
         self._by_slot[slot] = None
         self._free.append(slot)
-        return compiled
+        return demand
 
     def evaluate(self, slots: list[int], now: float) -> np.ndarray:
         """Demand of the VMs in ``slots`` at ``now``, as a (5, n) array of
         ``(cpu_cores, memory_mb, network_tx_kbps, network_rx_kbps,
         disk_gb)`` rows.
 
-        Equal, bit for bit, to each VM's ``evaluate(now)`` called in
-        ``slots`` order, and leaves the generator where those calls would.
+        Equal, bit for bit, to each VM's ``VMDemand.evaluate`` on the grid
+        ``[now]``, called in ``slots`` order, and leaves the generator where
+        those calls would.
         DRS calls it for batches of tens of VMs, so the fixed cost per
         call counts: both channels go through one :func:`_channel_values`.
         """
@@ -702,7 +496,7 @@ class DemandTable:
         ):
             if cpu_k == _OPAQUE:
                 draw_to(2 * i)
-                opaque.append((i, self._by_slot[slots[i]].evaluate(now)))
+                opaque.append((i, _evaluate_one(self._by_slot[slots[i]], now)))
                 done = 2 * i + 2  # its Gaussians were its own
                 continue
             for k, kind in ((2 * i, cpu_k), (2 * i + 1, mem_k)):

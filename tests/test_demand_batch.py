@@ -1,18 +1,20 @@
 """The batch demand reads (repro.workloads.waveform.DemandTable): one per
 scrape tick, and one per DRS node-load pass and source scan.
 
-``DemandTable.evaluate`` must equal, bit for bit, the sequence of scalar
-``CompiledDemand.evaluate`` calls it replaces, in all five columns, and
-leave the shared generator where those calls would.  The properties build
-two identical worlds from identically seeded generators (one read VM by
-VM, one read as a batch) over random ordered mixes of VMs: every built-in
-profile and flavor family, hand-written closures and nested noise that
-draw from the shared generator, channels without noise, and noise on
-another generator.
+``DemandTable.evaluate`` must equal, bit for bit, the reference it
+replaces: ``VMDemand.evaluate`` on a one-element grid, called VM by VM,
+in all five columns, and leave the shared generator where those calls
+would.  The properties build two identical worlds from identically seeded
+generators (one read VM by VM, one read as a batch) over random ordered
+mixes of VMs: every built-in profile and flavor family, hand-written
+closures and nested noise that draw from the shared generator, channels
+without noise, and noise on another generator; between ticks, VMs are
+resized to a fresh demand in both worlds.
 
 DRS driven through the simulation's batching load object
 (:class:`repro.simulation.runner.DrsLoad`) must equal DRS driven by a
-scalar ``load_fn``: fractions, migrations and generator state.
+reference ``load_fn``, and DRS driven through ``DrsLoad`` one VM at a
+time must equal both: fractions, migrations and generator state.
 
 The numpy contract the batch relies on is guarded separately, so a numpy
 upgrade that changes any of it fails here by name rather than as a
@@ -31,10 +33,10 @@ from repro.faults.migration import MigrationFaultModel
 from repro.infrastructure.flavors import default_catalog
 from repro.infrastructure.vm import VM
 from repro.simulation import runner
-from repro.workloads import patterns
+from repro.workloads import patterns, waveform
 from repro.workloads.demand import DemandModel
 from repro.workloads.profiles import PROFILES
-from repro.workloads.waveform import DemandTable, compile_demand
+from repro.workloads.waveform import DemandTable
 from tests.conftest import make_bb
 
 _CATALOG = default_catalog()
@@ -87,6 +89,19 @@ def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _read(demand, t) -> tuple:
+    """The reference read: ``demand.evaluate`` on the grid ``[t]``, as
+    the five columns of a table read."""
+    snap = demand.evaluate(np.asarray([t], dtype=float))
+    return (
+        snap.cpu_cores[0],
+        snap.memory_mb[0],
+        snap.network_tx_kbps[0],
+        snap.network_rx_kbps[0],
+        snap.disk_gb[0],
+    )
+
+
 _mix = st.lists(
     st.tuples(
         st.sampled_from(_VARIANTS),
@@ -109,16 +124,37 @@ _ticks = st.lists(
 )
 
 
+#: Resizes between ticks: (tick index, VM position, new flavor).
+_resizes = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=39),
+        st.sampled_from(_FLAVORS),
+    ),
+    max_size=4,
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1), mix=_mix, ticks=_ticks)
-def test_batch_equals_scalar_reads_bit_for_bit(seed, mix, ticks):
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    mix=_mix,
+    ticks=_ticks,
+    resizes=_resizes,
+)
+def test_batch_equals_scalar_reads_bit_for_bit(seed, mix, ticks, resizes):
     scalar_rng, scalar_demands = _world(seed, mix)
     batch_rng, batch_demands = _world(seed, mix)
-    scalar = [compile_demand(d) for d in scalar_demands]
+    scalar_model, batch_model = DemandModel(scalar_rng), DemandModel(batch_rng)
     table = DemandTable(batch_rng)
-    slots = [table.put(f"vm{i}", compile_demand(d)) for i, d in enumerate(batch_demands)]
-    for t in ticks:
-        expected = np.array([cd.evaluate(t) for cd in scalar]).T
+    slots = [table.put(f"vm{i}", d) for i, d in enumerate(batch_demands)]
+    for k, t in enumerate(ticks):
+        for when, i, flavor in resizes:
+            if when == k and i < len(mix):
+                # A resize replaces the demand object; the slot is kept.
+                scalar_demands[i] = scalar_model.demand_for(_CATALOG.get(flavor))
+                table.put(f"vm{i}", batch_model.demand_for(_CATALOG.get(flavor)))
+        expected = np.array([_read(d, t) for d in scalar_demands]).T
         got = table.evaluate(slots, t)
         assert got.shape == (5, len(mix))
         assert np.array_equal(_bits(got), _bits(expected)), t
@@ -133,16 +169,16 @@ def test_every_builtin_profile_and_family_gets_a_row():
     for profile in _PROFILES:
         for flavor in ("g_c8_m32", "h_c16_m256", "gpu_c32_m256"):
             for _ in range(20):
-                cd = compile_demand(model.demand_for(_CATALOG.get(flavor), PROFILES[profile]))
-                assert cd.row(rng) is not None, (profile, flavor)
-                assert cd.row(np.random.default_rng(3)) is None
+                demand = model.demand_for(_CATALOG.get(flavor), PROFILES[profile])
+                assert waveform._demand_row(demand, rng) is not None, (profile, flavor)
+                assert waveform._demand_row(demand, np.random.default_rng(3)) is None
     shared, opaque = _world(
         5,
         [("closure", "g_c2_m8", "cicd"), ("nested", "g_c2_m8", "devenv"),
          ("noise_free", "g_c2_m8", "general"), ("other_rng", "g_c2_m8", "hana_db")],
     )
     for demand in opaque:
-        assert compile_demand(demand).row(shared) is None
+        assert waveform._demand_row(demand, shared) is None
 
 
 def test_slot_reuse_and_replacement():
@@ -150,18 +186,18 @@ def test_slot_reuse_and_replacement():
     model = DemandModel(rng)
     flavor = _CATALOG.get("g_c4_m16")
 
-    def cd():
-        return compile_demand(model.demand_for(flavor))
+    def demand():
+        return model.demand_for(flavor)
 
     table = DemandTable(rng)
-    a, b, c = (table.put(vm, cd()) for vm in ("a", "b", "c"))
+    a, b, c = (table.put(vm, demand()) for vm in ("a", "b", "c"))
     assert sorted((a, b, c)) == [0, 1, 2]
     assert table.pop("b") is not None
     assert table.pop("b") is None
     assert "b" not in table and set(table) == {"a", "c"}
-    assert table.put("d", cd()) == b  # the freed slot, not a new one
-    replacement = cd()
-    assert table.put("a", replacement) == a  # recompile keeps the slot
+    assert table.put("d", demand()) == b  # the freed slot, not a new one
+    replacement = demand()
+    assert table.put("a", replacement) == a  # a new demand keeps the slot
     assert table.get("a") is replacement
     assert len(table) == 3 and set(table.slots) == {"a", "c", "d"}
 
@@ -170,25 +206,26 @@ def test_table_grows_past_its_initial_capacity():
     rng_a, demands_a = _world(8, [("profile", "g_c2_m8", p) for p in _PROFILES] * 30)
     rng_b, demands_b = _world(8, [("profile", "g_c2_m8", p) for p in _PROFILES] * 30)
     table = DemandTable(rng_b)
-    slots = [table.put(str(i), compile_demand(d)) for i, d in enumerate(demands_b)]
-    expected = np.array([compile_demand(d).evaluate(4_000.0) for d in demands_a]).T
+    slots = [table.put(str(i), d) for i, d in enumerate(demands_b)]
+    expected = np.array([_read(d, 4_000.0) for d in demands_a]).T
     assert np.array_equal(_bits(table.evaluate(slots, 4_000.0)), _bits(expected))
     assert rng_a.random() == rng_b.random()
 
 
 class TestSimulationSlots:
-    """Slots follow the simulation's identity-keyed compile lifecycle."""
+    """Slots follow the simulation's identity-keyed table lifecycle."""
 
     def test_churn_with_resizes_keeps_slots_in_step_with_demands(self, monkeypatch):
         from tests.conftest import build_tiny_region_spec
 
-        compiles = []
+        puts = []
+        put = DemandTable.put
 
-        def counting(demand):
-            compiles.append(demand)
-            return compile_demand(demand)
+        def counting(table, vm_id, demand):
+            puts.append(demand)
+            return put(table, vm_id, demand)
 
-        monkeypatch.setattr(runner, "compile_demand", counting)
+        monkeypatch.setattr(DemandTable, "put", counting)
         sim = runner.RegionSimulation(
             build_tiny_region_spec(),
             runner.SimulationConfig(
@@ -203,13 +240,13 @@ class TestSimulationSlots:
         )
         result = sim.run()
         assert result.resized > 0 and result.deleted > 0
-        sim._handle_scrape(sim.engine, None)  # compile every live demand
-        table = sim._compiled
+        sim._handle_scrape(sim.engine, None)  # put every live demand
+        table = sim._demand_table
         assert set(table) == set(table.slots) == set(sim.demands)
         slots = list(table.slots.values())
         assert len(set(slots)) == len(slots)
-        # Freed slots were reused: far fewer rows than compiled VMs.
-        assert max(slots) + 1 < len(compiles)
+        # Freed slots were reused: far fewer rows than demands put.
+        assert max(slots) + 1 < len(puts)
 
     def test_dead_letter_frees_slots_for_reuse(self):
         from tests.test_fault_evacuation import _place, _sim
@@ -220,7 +257,7 @@ class TestSimulationSlots:
                 vm = _place(sim, f"vm{n}-{i}", "g_c32_m256", node_id)
                 sim.demands[vm.vm_id] = sim.demand_model.demand_for(vm.flavor)
         sim._handle_scrape(sim.engine, None)
-        table = sim._compiled
+        table = sim._demand_table
         before = dict(table.slots)
         sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
         sim.engine.run_until(5000.0)
@@ -241,17 +278,24 @@ _DRS_FLAVORS = tuple(f.name for f in _CATALOG if f.vcpus <= 16 and f.ram_gib <= 
 
 
 def _scalar_load(demands, now):
-    """DRS's load model read VM by VM, with no ``many``: each VM's compiled
-    waveform, or its vCPUs when it has no demand model."""
-    compiled = {}
+    """DRS's load model read VM by VM, with no ``many``: each VM's
+    reference read, or its vCPUs when it has no demand model."""
 
     def load_fn(vm):
         demand = demands.get(vm.vm_id)
         if demand is None:
             return float(vm.flavor.vcpus)
-        if vm.vm_id not in compiled:
-            compiled[vm.vm_id] = compile_demand(demand)
-        return compiled[vm.vm_id].evaluate(now)[0]
+        return _read(demand, now)[0]
+
+    return load_fn
+
+
+def _per_vm(load):
+    """``load`` behind a plain per-VM function with no ``many``: the shape
+    of a wrapper that counts or traces DRS's load reads."""
+
+    def load_fn(vm):
+        return load(vm)
 
     return load_fn
 
@@ -300,48 +344,78 @@ _drs_vms = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+_drs_cases = given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     vms=_drs_vms,
     weights=st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=5),
     unhealthy=st.lists(st.sampled_from(["", "", "", "failed", "draining"]), max_size=5),
     ticks=_ticks,
 )
-def test_batched_drs_equals_scalar_drs(seed, vms, weights, unhealthy, ticks):
-    """A load object with ``many`` (one batch per node-load pass and per
-    source scan) and a scalar ``load_fn`` drive DRS identically: the same
-    fractions to the bit, the same migrations, the same generator state."""
+
+
+def _drs_lockstep(seed, vms, weights, unhealthy, ticks, load_a, load_b):
+    """Drive DRS in two identical worlds, through ``load_a(demands, table,
+    t)`` in one and ``load_b`` in the other, and require at every tick the
+    same fractions to the bit, the same recommendations and migrations,
+    the same aborts and the same generator state."""
     # Split the VMs over the nodes in proportion to ``weights``, skewed so
     # that DRS has work.
     total = sum(weights) or 1
     nodes = [len(vms) * w // total for w in weights]
     nodes[0] += len(vms) - sum(nodes)
     balancer = DrsBalancer(config=DrsConfig(imbalance_threshold=0.01, max_moves_per_run=12))
-    scalar_rng, scalar_bb, scalar_demands, scalar_faults = _drs_world(seed, vms, nodes, unhealthy)
-    batch_rng, batch_bb, batch_demands, batch_faults = _drs_world(seed, vms, nodes, unhealthy)
-    table = DemandTable(batch_rng)
+    a_rng, a_bb, a_demands, a_faults = _drs_world(seed, vms, nodes, unhealthy)
+    b_rng, b_bb, b_demands, b_faults = _drs_world(seed, vms, nodes, unhealthy)
+    a_table, b_table = DemandTable(a_rng), DemandTable(b_rng)
     for t in ticks:
-        scalar = _scalar_load(scalar_demands, t)
-        batch = runner.DrsLoad(batch_demands, table, t)
-        assert hasattr(batch, "many") and not hasattr(scalar, "many")
-        assert _hexes(load_fractions(batch_bb.iter_nodes(), batch)) == _hexes(
-            load_fractions(scalar_bb.iter_nodes(), scalar)
+        a = load_a(a_demands, a_table, t)
+        b = load_b(b_demands, b_table, t)
+        assert _hexes(load_fractions(a_bb.iter_nodes(), a)) == _hexes(
+            load_fractions(b_bb.iter_nodes(), b)
         )
-        assert recommend_moves(batch_bb, batch) == recommend_moves(scalar_bb, scalar)
-        moved = balancer.run(batch_bb, batch, fault_model=batch_faults)
-        expected = balancer.run(scalar_bb, scalar, fault_model=scalar_faults)
+        assert recommend_moves(a_bb, a) == recommend_moves(b_bb, b)
+        moved = balancer.run(a_bb, a, fault_model=a_faults)
+        expected = balancer.run(b_bb, b, fault_model=b_faults)
         assert moved == expected
         assert [(m.load_cores.hex(), m.improvement.hex()) for m in moved] == [
             (m.load_cores.hex(), m.improvement.hex()) for m in expected
         ]
-        assert batch_faults.abort_log == scalar_faults.abort_log
-        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert a_faults.abort_log == b_faults.abort_log
+        assert a_rng.bit_generator.state == b_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@_drs_cases
+def test_batched_drs_equals_scalar_drs(seed, vms, weights, unhealthy, ticks):
+    """A load object with ``many`` (one batch per node-load pass and per
+    source scan) and a reference ``load_fn`` read VM by VM drive DRS
+    identically."""
+    assert hasattr(runner.DrsLoad, "many")
+    assert not hasattr(_scalar_load({}, 0.0), "many")
+    _drs_lockstep(
+        seed, vms, weights, unhealthy, ticks,
+        runner.DrsLoad,
+        lambda demands, table, t: _scalar_load(demands, t),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@_drs_cases
+def test_per_vm_drs_load_equals_batched_drs_load(seed, vms, weights, unhealthy, ticks):
+    """``DrsLoad`` called one VM at a time, through a wrapper with no
+    ``many`` (the shape of a tracing wrapper), drives DRS exactly as
+    ``DrsLoad`` itself does: a per-VM read is a batch of one."""
+    assert not hasattr(_per_vm(runner.DrsLoad({}, None, 0.0)), "many")
+    _drs_lockstep(
+        seed, vms, weights, unhealthy, ticks,
+        lambda demands, table, t: _per_vm(runner.DrsLoad(demands, table, t)),
+        runner.DrsLoad,
+    )
 
 
 def test_drs_load_batch_recompiles_a_replaced_demand():
     """``many`` serves the registered demand object, as the scrape does:
-    a replaced demand is recompiled in its slot before it is read."""
+    a replaced demand is put in its slot again before it is read."""
     rng, (first, second) = _world(21, [("profile", "g_c4_m16", "general")] * 2)
     vm = VM(vm_id="a", flavor=_CATALOG.get("g_c4_m16"))
     demands = {"a": first}
@@ -350,7 +424,7 @@ def test_drs_load_batch_recompiles_a_replaced_demand():
     slot = table.slots["a"]
     demands["a"] = second
     runner.DrsLoad(demands, table, 900.0).many([vm])
-    assert table.get("a").demand is second and table.slots["a"] == slot
+    assert table.get("a") is second and table.slots["a"] == slot
 
 
 class TestNumpyContract:

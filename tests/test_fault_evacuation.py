@@ -127,9 +127,9 @@ class TestEvacuation:
             for i in range(8):
                 vm = _place(sim, f"vm{n}-{i}", "g_c32_m256", node_id)
                 sim.demands[vm.vm_id] = sim.demand_model.demand_for(vm.flavor)
-        # One scrape compiles every VM's demand evaluator.
+        # One scrape puts every VM's demand in the table.
         sim._handle_scrape(sim.engine, None)
-        assert set(sim._compiled) == set(sim.demands)
+        assert set(sim._demand_table) == set(sim.demands)
         sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
         sim.engine.run_until(5000.0)
 
@@ -147,7 +147,7 @@ class TestEvacuation:
             assert sim.placement.allocation_for(vm_id) is None
             # Nothing of a dead-lettered VM's demand outlives it.
             assert vm_id not in sim.demands
-            assert vm_id not in sim._compiled
+            assert vm_id not in sim._demand_table
         # The surviving node's VMs were never disturbed.
         assert len(sim._node_index["bb0-node-001"].vms) == 8
 

@@ -1,7 +1,7 @@
 """Byte-identity of the columnar scrape against the per-sample reference.
 
-The simulator's scrape (series handles + compiled waveforms, zero Sample
-objects) must be observationally indistinguishable from the per-sample
+The simulator's scrape (series handles + the batch demand table, zero
+Sample objects) must be observationally indistinguishable from the per-sample
 reference in :mod:`repro.verify.reference`: same placements, same
 counters, same telemetry bytes.  `repro verify --check scrape_path` holds
 this on the canned scenarios; these tests hold the building blocks
@@ -210,16 +210,14 @@ class TestEndToEndScrapePath:
         assert fast.fault_report.to_json() == slow.fault_report.to_json()
 
 
-class _CpuUlpHigh:
-    """A compiled demand whose CPU reads one ulp above the true value."""
+def _cpu_ulp_high(evaluate_one):
+    """The table's opaque read with its CPU one ulp above the true value."""
 
-    def __init__(self, demand):
-        self.demand = demand
-        self._inner = waveform.compile_demand(demand)
+    def perturbed(demand, t):
+        cpu, *rest = evaluate_one(demand, t)
+        return [math.nextafter(cpu, math.inf), *rest]
 
-    def evaluate(self, t):
-        cpu, *rest = self._inner.evaluate(t)
-        return (math.nextafter(cpu, math.inf), *rest)
+    return perturbed
 
 
 def _batch_cpu_ulp_high(evaluate):
@@ -233,8 +231,7 @@ def _batch_cpu_ulp_high(evaluate):
         out = evaluate(table, slots, now)
         vm_of = {slot: vm_id for vm_id, slot in table.slots.items()}
         for i, slot in enumerate(slots):
-            row = getattr(table.get(vm_of[slot]), "row", None)
-            if row is not None and row(table.rng) is not None:
+            if waveform._demand_row(table.get(vm_of[slot]), table.rng) is not None:
                 out[0, i] = math.nextafter(out[0, i], math.inf)
         return out
 
@@ -257,8 +254,8 @@ def _reversed_source_scans(many):
 class TestReferenceIndependence:
     """The verify reference must not share the path it checks.
 
-    A reference that quietly called the compiled waveforms, the batch
-    table or the series-handle emit would agree with any bug in them;
+    A reference that quietly called the batch table (its rows or its
+    opaque reads) or the series-handle emit would agree with any bug in them;
     perturbing the simulator's fast path must therefore make the
     ``scrape_path`` check fail with a diff.
     """
@@ -270,9 +267,10 @@ class TestReferenceIndependence:
         return outcome
 
     def test_cpu_one_ulp_off_is_caught(self, monkeypatch):
-        # The stand-in has no row, so every VM is opaque: this covers the
-        # batch's in-place scalar reads.
-        monkeypatch.setattr(runner, "compile_demand", _CpuUlpHigh)
+        # No VM gets a row, so every read is the batch's in-place opaque
+        # read, moved one ulp.
+        monkeypatch.setattr(waveform, "_demand_row", lambda demand, rng: None)
+        monkeypatch.setattr(waveform, "_evaluate_one", _cpu_ulp_high(waveform._evaluate_one))
         outcome = self._scrape_path_outcome()
         assert not outcome.ok
         assert "store_fingerprint" in outcome.diff
@@ -459,10 +457,10 @@ class TestSlotLists:
             _scrape_at(sim, 0.0)
             sim.demands["a1"] = sim.demand_model.demand_for(sim.vms["a1"].flavor)
             if type(sim) is runner.RegionSimulation:
-                assert "a1" not in sim._compiled  # recompiled lazily
+                assert "a1" not in sim._demand_table  # put again lazily
             _scrape_at(sim, 900.0)
             if type(sim) is runner.RegionSimulation:
-                assert sim._compiled.get("a1").demand is sim.demands["a1"]
+                assert sim._demand_table.get("a1") is sim.demands["a1"]
 
         self._check(script)
 
@@ -509,7 +507,7 @@ class TestSlotLists:
                 for i in range(8):
                     _place_with_demand(sim, f"vm{n}-{i}", "g_c32_m256", node_id)
             _scrape_at(sim, 0.0)
-            freed = dict(sim._compiled.slots) if type(sim) is runner.RegionSimulation else {}
+            freed = dict(sim._demand_table.slots) if type(sim) is runner.RegionSimulation else {}
             sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
             sim.engine.run_until(5000.0)
             dead = sim.fault_report.dead_lettered_vms
@@ -517,6 +515,6 @@ class TestSlotLists:
             _place_with_demand(sim, "late", "g_c2_m8", "bb0-node-001")
             _scrape_at(sim, 5000.0)
             if freed:
-                assert sim._compiled.slots["late"] in {freed[vm_id] for vm_id in dead}
+                assert sim._demand_table.slots["late"] in {freed[vm_id] for vm_id in dead}
             outcomes.append(_outcome(sim))
         assert outcomes[0] == outcomes[1]

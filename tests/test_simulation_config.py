@@ -69,6 +69,13 @@ def test_initial_vms_must_be_a_non_negative_int(value):
         SimulationConfig(initial_vms=value)
 
 
+@pytest.mark.parametrize("value", [-1, 2.5, True, "7", None])
+def test_seed_must_be_a_non_negative_int(value):
+    # A negative seed used to pass here and fail inside numpy's generator.
+    with pytest.raises(ValueError, match="SimulationConfig.seed must be an int >= 0"):
+        SimulationConfig(seed=value)
+
+
 def test_zero_rates_and_zero_initial_vms_are_valid():
     config = SimulationConfig(
         arrival_rate_per_hour=0.0,
