@@ -17,7 +17,6 @@ from repro.core.advanced_placement import (
 from repro.datagen.population import FLAVOR_MIX
 from repro.infrastructure.flavors import default_catalog
 from repro.infrastructure.topology import build_region, paper_region_spec
-from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.pipeline import FilterScheduler, NoValidHost
 from repro.scheduler.placement import PlacementService
 from repro.scheduler.request import RequestSpec
@@ -78,8 +77,7 @@ def main() -> None:
     # Mark the largest quarter (never all) as historically contended.
     n_hot = min(max(1, len(general_bbs) // 4), len(general_bbs) - 1)
     hot_hosts = {bb.bb_id: 30.0 for bb in general_bbs[:n_hot]}
-    # fast() turns off the per-filter trace; placements are unaffected.
-    default = replay(FilterScheduler(region, placement, SchedulerConfig().fast()), stream)
+    default = replay(FilterScheduler(region, placement), stream)
 
     # Contention-aware.
     region2, placement2 = fresh_region()

@@ -21,7 +21,7 @@ Canonical JSON shape (all keys optional, unknown keys rejected)::
       "arrival_rate_per_hour": 12.0, "initial_vms": 120,
       "scrape_interval_s": 900.0, "drs_interval_s": 3600.0,
       "scheduler_factory": "nova",
-      "scheduler":  { ... SchedulerConfig scalar fields ... },
+      "scheduler":  {"max_attempts": 3, "alternates": 3},
       "faults":     { ... FaultConfig fields ... },
       "resilience": { ... ResilienceConfig fields ... }
     }
@@ -41,9 +41,9 @@ from typing import TYPE_CHECKING
 from repro._finite import require_finite
 from repro.faults.config import FaultConfig
 from repro.infrastructure.topology import (
-    BuildingBlockSpec,
-    DatacenterSpec,
     TopologySpec,
+    chaos_region_spec,
+    lab_region_spec,
     paper_region_spec,
 )
 from repro.resilience.config import ResilienceConfig
@@ -59,12 +59,7 @@ TOPOLOGIES = ("lab", "chaos", "paper")
 
 #: SchedulerConfig fields that are JSON-able scalars; ``filters`` /
 #: ``weighers`` hold live objects and cannot round-trip through a spec.
-_SCHEDULER_SCALAR_FIELDS = (
-    "max_attempts",
-    "alternates",
-    "use_index",
-    "track_filter_counts",
-)
+_SCHEDULER_SCALAR_FIELDS = ("max_attempts", "alternates")
 
 #: Nested sections of the canonical dict shape.
 _SECTIONS = ("scheduler", "faults", "resilience")
@@ -243,43 +238,8 @@ class ScenarioSpec:
         if self.topology == "paper":
             return paper_region_spec(scale=self.region_scale)
         if self.topology == "chaos":
-            # Mirrors repro.resilience.chaos.chaos_topology: two AZs of
-            # uniform general-purpose blocks.
-            return TopologySpec(
-                region_id="chaos-lab",
-                datacenters=tuple(
-                    DatacenterSpec(
-                        dc_id=f"dc{az}",
-                        az_id=f"az{az}",
-                        building_blocks=tuple(
-                            BuildingBlockSpec(
-                                bb_id=f"az{az}-bb{i}",
-                                node_count=self.nodes_per_bb,
-                            )
-                            for i in range(self.building_blocks_per_az)
-                        ),
-                    )
-                    for az in (1, 2)
-                ),
-            )
-        # "lab": mirrors repro.faults.scenario.scenario_topology — one DC
-        # of uniform general-purpose blocks (same ids, so fault traces
-        # replayed through a spec are byte-identical to the legacy path).
-        return TopologySpec(
-            region_id="fault-lab",
-            datacenters=(
-                DatacenterSpec(
-                    dc_id="dc1",
-                    az_id="az1",
-                    building_blocks=tuple(
-                        BuildingBlockSpec(
-                            bb_id=f"bb{i}", node_count=self.nodes_per_bb
-                        )
-                        for i in range(self.building_blocks)
-                    ),
-                ),
-            ),
-        )
+            return chaos_region_spec(self.building_blocks_per_az, self.nodes_per_bb)
+        return lab_region_spec(self.building_blocks, self.nodes_per_bb)
 
     def simulation_config(self):
         """The :class:`~repro.simulation.runner.SimulationConfig` this

@@ -129,9 +129,6 @@ class LifetimeAwareScheduler(FilterScheduler):
                 state.metadata["churn_class"] = churn
         return states
 
-    def host_states(self) -> list[HostState]:
-        return self._prepare_states(super().host_states())
-
     def _weighers_for(self, spec: RequestSpec) -> list[Weigher]:
         return [*super()._weighers_for(spec), self._lifetime_weigher]
 

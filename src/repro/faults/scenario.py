@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.config import FaultConfig
-from repro.infrastructure.topology import (
-    BuildingBlockSpec,
-    DatacenterSpec,
-    TopologySpec,
-)
+from repro.infrastructure.topology import TopologySpec, lab_region_spec
 from repro.simulation.runner import (
     RegionSimulation,
     SimulationConfig,
@@ -46,21 +42,7 @@ class ScenarioConfig:
 
 def scenario_topology(config: ScenarioConfig) -> TopologySpec:
     """A one-DC region of uniform general-purpose building blocks."""
-    return TopologySpec(
-        region_id="fault-lab",
-        datacenters=(
-            DatacenterSpec(
-                dc_id="dc1",
-                az_id="az1",
-                building_blocks=tuple(
-                    BuildingBlockSpec(
-                        bb_id=f"bb{i}", node_count=config.nodes_per_bb
-                    )
-                    for i in range(config.building_blocks)
-                ),
-            ),
-        ),
-    )
+    return lab_region_spec(config.building_blocks, config.nodes_per_bb)
 
 
 def scenario_sim_config(config: ScenarioConfig) -> SimulationConfig:

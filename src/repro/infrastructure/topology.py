@@ -226,3 +226,38 @@ def paper_region_spec(scale: float = 1.0, region_id: str = "region-9") -> Topolo
             )
         )
     return TopologySpec(region_id=region_id, datacenters=tuple(dcs))
+
+
+def _uniform_datacenter(
+    n: int, bb_prefix: str, building_blocks: int, nodes_per_bb: int
+) -> DatacenterSpec:
+    """DC ``dc{n}`` in AZ ``az{n}``: uniform general-purpose blocks."""
+    return DatacenterSpec(
+        dc_id=f"dc{n}",
+        az_id=f"az{n}",
+        building_blocks=tuple(
+            BuildingBlockSpec(bb_id=f"{bb_prefix}bb{i}", node_count=nodes_per_bb)
+            for i in range(building_blocks)
+        ),
+    )
+
+
+def lab_region_spec(building_blocks: int, nodes_per_bb: int) -> TopologySpec:
+    """The fault scenarios' region: one DC of uniform blocks ``bb0``, ``bb1``…"""
+    return TopologySpec(
+        region_id="fault-lab",
+        datacenters=(_uniform_datacenter(1, "", building_blocks, nodes_per_bb),),
+    )
+
+
+def chaos_region_spec(building_blocks_per_az: int, nodes_per_bb: int) -> TopologySpec:
+    """The chaos scenario's region: two AZs of uniform blocks ``az1-bb0``…"""
+    return TopologySpec(
+        region_id="chaos-lab",
+        datacenters=tuple(
+            _uniform_datacenter(
+                az, f"az{az}-", building_blocks_per_az, nodes_per_bb
+            )
+            for az in (1, 2)
+        ),
+    )

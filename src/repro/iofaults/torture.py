@@ -48,7 +48,6 @@ from repro.recovery.journal import JournalWriter
 from repro.recovery.run import CRASH_POINTS, JournaledRun, recover_and_continue
 from repro.recovery.snapshot import SnapshotStore
 from repro.reporting import ReportBase, canonical_json, write_report
-from repro.scheduler.config import SchedulerConfig
 from repro.verify.goldens import read_golden_text, write_golden_text
 from repro.verify.oracle import diff_outcomes, replay_workload, workload_ops
 from repro.verify.scenarios import get_scenario
@@ -245,12 +244,7 @@ def run_torture(
                 if baseline is None:
                     ops = workload_ops(scenario, seed)
                     baseline = replay_workload(
-                        scenario.topology(),
-                        ops,
-                        SchedulerConfig(
-                            use_index=True, track_filter_counts=False
-                        ),
-                        variant="uninterrupted",
+                        scenario.topology(), ops, variant="uninterrupted"
                     )
                 case = _wal_case(scenario, seed, k, rng, config, baseline)
             elif artifact == "snapshot":

@@ -41,7 +41,6 @@ from repro.recovery.run import (
     recover_and_continue,
     run_journaled,
 )
-from repro.scheduler.config import SchedulerConfig
 from repro.verify.oracle import diff_outcomes, replay_workload, workload_ops
 from repro.verify.scenarios import VerifyScenario
 
@@ -196,10 +195,7 @@ def run_crash_cycles(
     for seed in seeds:
         ops = workload_ops(scenario, seed)
         baseline = replay_workload(
-            scenario.topology(),
-            ops,
-            SchedulerConfig(use_index=True, track_filter_counts=False),
-            variant="uninterrupted",
+            scenario.topology(), ops, variant="uninterrupted"
         )
         mid, boundary = _crash_ops(len(ops), snapshot_every)
         for point in points:

@@ -2,7 +2,7 @@
 
 :class:`JournaledRun` executes the exact workload the differential
 oracle replays (:func:`repro.verify.oracle.workload_ops` through the
-indexed ``FilterScheduler``), but journals every state change ahead of
+``FilterScheduler``), but journals every state change ahead of
 applying it and snapshots the full control-plane state on a fixed op
 cadence.  Recovery (:func:`recover_and_continue`) then rebuilds the
 world from the newest valid snapshot and *re-executes* the lost ops —
@@ -45,14 +45,12 @@ from repro.recovery.journal import (
     truncate_torn_tail,
 )
 from repro.recovery.snapshot import SnapshotStore
-from repro.scheduler.config import SchedulerConfig
-from repro.scheduler.hoststate import HostState
 from repro.scheduler.pipeline import FilterScheduler, NoValidHost
 from repro.scheduler.placement import PlacementService
 from repro.scheduler.request import RequestSpec
 from repro.verify.oracle import (
-    Mismatch,
     ReplayOutcome,
+    index_mismatches,
     inventory_snapshot,
     workload_ops,
 )
@@ -158,11 +156,7 @@ class JournaledRun:
         for bb in self.region.iter_building_blocks():
             self.placement.register_building_block(bb)
         self.placement.add_journal_sink(self._placement_sink)
-        self.scheduler = FilterScheduler(
-            self.region,
-            self.placement,
-            SchedulerConfig(use_index=True, track_filter_counts=False),
-        )
+        self.scheduler = FilterScheduler(self.region, self.placement)
         self.bb_index = {
             bb.bb_id: bb for bb in self.region.iter_building_blocks()
         }
@@ -340,24 +334,6 @@ class JournaledRun:
         }
 
     def _outcome(self, variant: str) -> ReplayOutcome:
-        index_mismatches: list[Mismatch] = []
-        if self.scheduler.index is not None:
-            self.scheduler.index.refresh()
-            for state in self.scheduler.index.states():
-                truth = HostState.from_building_block(
-                    self.bb_index[state.host_id], self.placement
-                )
-                for name, actual, expected in state.diff_fields(truth):
-                    index_mismatches.append(
-                        Mismatch(
-                            check="index_state",
-                            variant=variant,
-                            subject=state.host_id,
-                            field=name,
-                            expected=expected,
-                            actual=actual,
-                        )
-                    )
         return ReplayOutcome(
             variant=variant,
             placements=dict(self.placements),
@@ -367,7 +343,9 @@ class JournaledRun:
                 k: int(v) for k, v in self.placement.stats().items()
             },
             inventory=inventory_snapshot(self.placement, self.bb_index),
-            index_mismatches=index_mismatches,
+            index_mismatches=index_mismatches(
+                self.scheduler, self.bb_index, self.placement, variant
+            ),
         )
 
     # -- entry points ---------------------------------------------------------

@@ -20,11 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.faults.config import FaultConfig
-from repro.infrastructure.topology import (
-    BuildingBlockSpec,
-    DatacenterSpec,
-    TopologySpec,
-)
+from repro.infrastructure.topology import TopologySpec, chaos_region_spec
 from repro.reporting import ReportBase
 from repro.resilience.config import ResilienceConfig
 from repro.simulation.runner import (
@@ -96,22 +92,7 @@ class ChaosConfig:
 
 def chaos_topology(config: ChaosConfig) -> TopologySpec:
     """Two AZs of uniform general-purpose building blocks."""
-    return TopologySpec(
-        region_id="chaos-lab",
-        datacenters=tuple(
-            DatacenterSpec(
-                dc_id=f"dc{az}",
-                az_id=f"az{az}",
-                building_blocks=tuple(
-                    BuildingBlockSpec(
-                        bb_id=f"az{az}-bb{i}", node_count=config.nodes_per_bb
-                    )
-                    for i in range(config.building_blocks_per_az)
-                ),
-            )
-            for az in (1, 2)
-        ),
-    )
+    return chaos_region_spec(config.building_blocks_per_az, config.nodes_per_bb)
 
 
 def run_chaos_scenario(

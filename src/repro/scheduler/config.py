@@ -11,7 +11,7 @@ config)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # avoid import cycles; only needed for type checkers
@@ -25,27 +25,19 @@ class SchedulerConfig:
 
     ``filters`` / ``weighers`` of ``None`` mean "use the deployment
     defaults": the SAP-like filter chain and the per-flavor pack/spread
-    policy weighers (§3.2).  ``use_index`` enables the incremental
-    :class:`~repro.scheduler.index.HostStateIndex`; ``track_filter_counts``
-    keeps the legacy per-filter elimination trace on every result (turn it
-    off on hot paths — survivors are identical, only the trace is dropped,
-    and capacity bucket pre-selection plus cost-ordered short-circuiting
-    kick in).
+    policy weighers (§3.2).  The scheduler has one hot path (incremental
+    index, bucket pre-selection, cheapest-first filters), so nothing here
+    selects an implementation; the from-scratch rescan reference lives in
+    :mod:`repro.verify.oracle`.
     """
 
     filters: Sequence["Filter"] | None = None
     weighers: Sequence["Weigher"] | None = None
     max_attempts: int = 3
     alternates: int = 3
-    use_index: bool = True
-    track_filter_counts: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.alternates < 0:
             raise ValueError("alternates must be >= 0")
-
-    def fast(self) -> "SchedulerConfig":
-        """This config with the per-filter trace disabled (hot-path mode)."""
-        return replace(self, track_filter_counts=False)

@@ -19,7 +19,7 @@ class Filter(abc.ABC):
 
     name = "Filter"
 
-    #: Relative evaluation cost; the scheduler's fast path runs cheaper
+    #: Relative evaluation cost; the scheduler runs cheaper
     #: filters first so inexpensive eliminations (capacity, aggregate)
     #: short-circuit expensive ones (affinity, QoS/NUMA).  Ordering never
     #: changes the survivor set — filters are pure per-host predicates.
@@ -32,7 +32,7 @@ class Filter(abc.ABC):
     def relevant(self, spec: RequestSpec) -> bool:
         """False when this filter cannot reject any host for ``spec``.
 
-        The scheduler's fast path skips irrelevant filters entirely (e.g.
+        The scheduler skips irrelevant filters entirely (e.g.
         the retry filter when nothing is excluded yet).  Must be
         conservative: only return False when ``passes`` would be True for
         every conceivable host.

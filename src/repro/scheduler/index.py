@@ -1,7 +1,8 @@
 """Incremental host-state index for the scheduling hot path.
 
-The reference pipeline rebuilds every building block's :class:`HostState`
-from scratch for each request — O(building blocks × (nodes + VMs)) per
+A naive scheduler (the rescan reference in :mod:`repro.verify.oracle`)
+rebuilds every building block's :class:`HostState` from scratch for each
+request — O(building blocks × (nodes + VMs)) per
 placement.  At paper scale (~1,800 hypervisors, ~48k VMs) that rescan
 dominates the run.  The index keeps one long-lived ``HostState`` per
 building block and keeps it up to date from pushed changes, so a request

@@ -8,13 +8,14 @@ tried, up to ``max_attempts``.
 
 Configuration goes through :class:`~repro.scheduler.config.SchedulerConfig`.
 
-Hot-path behaviour: with ``config.use_index`` (the default) candidate
-states come from an incremental :class:`~repro.scheduler.index.HostStateIndex`
-instead of a per-request region rescan.  With ``track_filter_counts=False``
-the pipeline additionally pre-narrows candidates via the index's free-vCPU
-buckets and runs filters cheapest-first with early exit — survivors, and
-therefore placements, are identical either way (only the per-filter trace
-is dropped); the equivalence tests pin this.
+There is one hot path.  Candidate states come from an incremental
+:class:`~repro.scheduler.index.HostStateIndex` instead of a per-request
+region rescan; when the chain checks free vCPUs, the index's free-vCPU
+buckets pre-narrow the candidates; filters run cheapest-first, skip the
+ones a request cannot trip (``relevant``) and stop once no host is left.
+Survivors, and therefore placements, equal those of the naive rescan in
+declared filter order: ``repro.verify.oracle``'s ``_RescanScheduler``
+keeps that reference and the differential oracle pins the equivalence.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class FilterScheduler:
         self.max_attempts = config.max_attempts
         self.alternates = config.alternates
         self.stats = {key: 0 for key in SCHEDULER_STAT_KEYS}
-        # Cheapest filters first for the short-circuiting fast path; the
-        # survivor *set* is order-independent (filters are pure predicates),
-        # so this never changes placements, only work done.
+        # Cheapest filters first for short-circuiting; the survivor *set*
+        # is order-independent (filters are pure predicates), so this
+        # never changes placements, only work done.
         self._ordered_filters = sorted(
             self.filters, key=lambda flt: getattr(flt, "cost", 1)
         )
@@ -84,9 +85,7 @@ class FilterScheduler:
         self._vcpu_gated = any(
             isinstance(flt, (ComputeFilter, VCpuFilter)) for flt in self.filters
         )
-        self._index: HostStateIndex | None = (
-            HostStateIndex(region, placement) if config.use_index else None
-        )
+        self._index = HostStateIndex(region, placement)
         self._pipelines: dict[str, WeigherPipeline] = {}
         #: Optional ``(host_id, ok)`` callback fired after every claim
         #: attempt in :meth:`schedule` — admission control's per-building-
@@ -95,21 +94,13 @@ class FilterScheduler:
 
     # -- host collection -----------------------------------------------------
 
-    def host_states(self) -> list[HostState]:
-        """Candidate states for every building block, rebuilt from scratch."""
-        return [
-            HostState.from_building_block(bb, self.placement)
-            for bb in self.region.iter_building_blocks()
-        ]
-
     def invalidate_host(self, host_id: str) -> None:
         """Tell the index a host mutated outside placement (e.g. failed)."""
-        if self._index is not None:
-            self._index.invalidate(host_id)
+        self._index.invalidate(host_id)
 
     @property
-    def index(self) -> HostStateIndex | None:
-        """The incremental host-state index, if enabled."""
+    def index(self) -> HostStateIndex:
+        """The incremental host-state index."""
         return self._index
 
     def stats_snapshot(self) -> dict[str, int]:
@@ -147,30 +138,26 @@ class FilterScheduler:
     def select_destinations(
         self, spec: RequestSpec
     ) -> tuple[list[tuple[HostState, float]], dict[str, int]]:
-        """Filter + weigh; returns ranked candidates and per-filter counts."""
-        config = self.config
-        trace = config.track_filter_counts
-        if self._index is not None:
-            self._index.refresh()
-            if trace or not self._vcpu_gated:
-                hosts = self._index.states()
-            else:
-                hosts = self._index.candidates(spec.flavor.vcpus)
+        """Filter + weigh; returns ranked candidates and per-filter counts.
+
+        ``counts`` holds ``"initial"`` (candidates after bucket
+        pre-selection) and, for each filter that ran, the hosts left after
+        it.
+        """
+        index = self._index
+        index.refresh()
+        if self._vcpu_gated:
+            hosts = index.candidates(spec.flavor.vcpus)
         else:
-            hosts = self.host_states()
+            hosts = index.states()
         hosts = self._prepare_states(hosts)
         counts: dict[str, int] = {"initial": len(hosts)}
-        if trace:
-            for flt in self.filters:
+        for flt in self._ordered_filters:
+            if not hosts:
+                break
+            if flt.relevant(spec):
                 hosts = flt.filter_all(hosts, spec)
                 counts[flt.name] = len(hosts)
-        else:
-            for flt in self._ordered_filters:
-                if not hosts:
-                    break
-                if flt.relevant(spec):
-                    hosts = flt.filter_all(hosts, spec)
-            counts["survivors"] = len(hosts)
         if not hosts:
             return [], counts
         ranked = self._pipeline_for(spec).rank(hosts, spec)

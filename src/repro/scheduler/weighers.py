@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from repro.scheduler.hoststate import HostState
 from repro.scheduler.request import RequestSpec
 
@@ -154,11 +152,3 @@ class WeigherPipeline:
             range(len(hosts)), key=lambda i: (-combined[i], hosts[i].host_id)
         )
         return [(hosts[i], combined[i]) for i in order]
-
-
-def _normalize(raw: np.ndarray) -> np.ndarray:
-    """Nova's min-max normalisation to [0, 1]; constant columns become 0."""
-    lo, hi = raw.min(), raw.max()
-    if hi - lo < 1e-12:
-        return np.zeros_like(raw)
-    return (raw - lo) / (hi - lo)

@@ -107,8 +107,7 @@ class SimulationConfig:
     #: Placement strategy: "nova" (BB-level filter/weigher pipeline) or
     #: "holistic" (node-level single-layer scheduler, §7).
     scheduler_factory: str = "nova"
-    #: Scheduler knobs; None means the default config in fast mode (the
-    #: per-filter trace off — placements are identical, see SchedulerConfig).
+    #: Scheduler knobs; None means the default ``SchedulerConfig()``.
     scheduler_config: SchedulerConfig | None = None
     #: Fault-injection knobs (host failures, migration aborts, telemetry
     #: gaps); None runs the happy path with zero injection overhead.
@@ -199,7 +198,7 @@ class RegionSimulation:
                      "amounts": dict(amounts)}
                 )
             )
-        scheduler_config = self.config.scheduler_config or SchedulerConfig().fast()
+        scheduler_config = self.config.scheduler_config or SchedulerConfig()
 
         # -- resilience layer, part 1: the health service must exist before
         # the scheduler so its QuarantineFilter can join the filter chain.

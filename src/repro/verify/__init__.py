@@ -2,8 +2,9 @@
 
 Five layers, unified behind ``repro verify``:
 
-* :mod:`repro.verify.oracle` — differential scheduler oracle (naive vs
-  indexed vs scalar-weigher replays of one pre-drawn workload);
+* :mod:`repro.verify.oracle` — differential scheduler oracle (the
+  rescan reference, which lives only there, vs the production indexed
+  scheduler vs scalar-weigher replays of one pre-drawn workload);
 * :mod:`repro.verify.metamorphic` — metamorphic properties for the
   telemetry store and the scheduler;
 * :mod:`repro.verify.goldens` — golden-trace regression store under

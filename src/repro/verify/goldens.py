@@ -27,15 +27,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.iofaults.layer import active_io, atomic_write_bytes
-from repro.scheduler.config import SchedulerConfig
 from repro.verify.oracle import replay_workload, workload_ops
 from repro.verify.scenarios import VerifyScenario
 
 #: Bump when the golden document layout changes; stale goldens then fail
 #: with an explicit format mismatch instead of a wall of field diffs.
 GOLDEN_FORMAT = 1
-
-_INDEXED = SchedulerConfig(use_index=True, track_filter_counts=False)
 
 
 def _canon(value):
@@ -84,7 +81,7 @@ def golden_document(scenario: VerifyScenario, seed: int) -> dict:
     from repro.resilience.chaos import chaos_summary, run_chaos_scenario
 
     ops = workload_ops(scenario, seed)
-    replay = replay_workload(scenario.topology(), ops, _INDEXED, variant="golden")
+    replay = replay_workload(scenario.topology(), ops, variant="golden")
     fault_result = run_fault_scenario(scenario.fault_scenario(seed))
     doc = {
         "format": GOLDEN_FORMAT,

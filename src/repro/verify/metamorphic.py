@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scheduler.config import SchedulerConfig
 from repro.telemetry.query import instant, query_range
 from repro.telemetry.store import MetricStore, SampleBlock
 from repro.telemetry.timeseries import STALE, TimeSeries
@@ -228,17 +227,15 @@ def check_staleness_monotonicity(seed: int) -> list[Mismatch]:
 
 # -- scheduler relations ---------------------------------------------------------
 
-_INDEXED = SchedulerConfig(use_index=True, track_filter_counts=False)
-
 
 def check_host_permutation_invariance(
     scenario: VerifyScenario, seed: int
 ) -> list[Mismatch]:
     """Registration order must not leak into placements or scores."""
     ops = workload_ops(scenario, seed)
-    base = replay_workload(scenario.topology(), ops, _INDEXED, variant="base-order")
+    base = replay_workload(scenario.topology(), ops, variant="base-order")
     perm = replay_workload(
-        scenario.permuted_topology(), ops, _INDEXED, variant="permuted-order"
+        scenario.permuted_topology(), ops, variant="permuted-order"
     )
     mismatches: list[Mismatch] = []
     for vm_id in sorted(set(base.placements) | set(perm.placements)):
@@ -280,9 +277,9 @@ def check_capacity_monotonicity(
     asserted — see the module docstring.
     """
     ops = workload_ops(scenario, seed)
-    base = replay_workload(scenario.topology(), ops, _INDEXED, variant="base-capacity")
+    base = replay_workload(scenario.topology(), ops, variant="base-capacity")
     grown = replay_workload(
-        scenario.grown_topology(), ops, _INDEXED, variant="grown-capacity"
+        scenario.grown_topology(), ops, variant="grown-capacity"
     )
     mismatches: list[Mismatch] = []
     base_placed = {vm for vm, host, _, _ in base.trace if host is not None}

@@ -3,13 +3,14 @@
 Runs one pre-drawn, seeded placement workload through independent
 implementations that must agree byte-for-byte:
 
-* the **naive reference path** — ``use_index=False``: every request
-  rebuilds every ``HostState`` from scratch and the full per-filter
-  trace runs (the slow path PR 2 preserved exactly for this purpose);
-* the **indexed fast path** — ``use_index=True`` with the trace off:
+* the **naive reference path** — :class:`_RescanScheduler`: every
+  request rebuilds every ``HostState`` from scratch and runs the whole
+  filter chain in declared order.  The simulator never runs it; it lives
+  here only as the reference;
+* the **indexed path** — the production :class:`FilterScheduler`:
   incremental :class:`~repro.scheduler.index.HostStateIndex`, free-vCPU
   bucket pre-selection, cost-ordered short-circuiting filters;
-* the **scalar-weigher variant** — the fast path with every weigher's
+* the **scalar-weigher variant** — the indexed path with every weigher's
   batch ``raw_weights`` forced back through the per-host ``raw_weight``
   loop, pinning the batch/scalar equivalence.
 
@@ -36,7 +37,6 @@ from repro.infrastructure.flavors import FLAVOR_MIX, default_catalog
 from repro.infrastructure.hierarchy import BuildingBlock, Region
 from repro.infrastructure.topology import TopologySpec, build_region
 from repro.infrastructure.vm import VM, VMState
-from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.hoststate import HostState
 from repro.scheduler.pipeline import FilterScheduler, NoValidHost
 from repro.scheduler.placement import PlacementService
@@ -141,6 +141,33 @@ def workload_ops(scenario: VerifyScenario, seed: int) -> list[WorkloadOp]:
     return ops
 
 
+class _RescanScheduler(FilterScheduler):
+    """The naive reference: each request rescans the whole region.
+
+    Rebuilds every building block's state with
+    :meth:`HostState.from_building_block`, runs ``self.filters`` in
+    declared order over all of them and ranks with the same weigher
+    pipeline: no index, no bucket pre-selection, no short-circuiting.
+    """
+
+    def select_destinations(
+        self, spec: RequestSpec
+    ) -> tuple[list[tuple[HostState, float]], dict[str, int]]:
+        hosts = self._prepare_states(
+            [
+                HostState.from_building_block(bb, self.placement)
+                for bb in self.region.iter_building_blocks()
+            ]
+        )
+        counts: dict[str, int] = {"initial": len(hosts)}
+        for flt in self.filters:
+            hosts = flt.filter_all(hosts, spec)
+            counts[flt.name] = len(hosts)
+        if not hosts:
+            return [], counts
+        return self._pipeline_for(spec).rank(hosts, spec), counts
+
+
 class _ScalarizedWeigher(Weigher):
     """Forces a weigher's batch path back through per-host dispatch."""
 
@@ -176,7 +203,7 @@ class ReplayOutcome:
     placement_stats: dict[str, int]
     #: bb_id -> {field: value} snapshot of the final placement inventory.
     inventory: dict[str, dict[str, float | int]]
-    #: Index-vs-truth disagreements (empty when the index is disabled).
+    #: Index-vs-truth disagreements.
     index_mismatches: list[Mismatch] = field(default_factory=list)
 
 
@@ -207,15 +234,17 @@ def desync_index(region: Region, placement: PlacementService) -> bool:
 def replay_workload(
     spec: TopologySpec,
     ops: list[WorkloadOp],
-    scheduler_config: SchedulerConfig,
     *,
     variant: str,
-    scalar_weighers: bool = False,
+    scheduler_cls: type[FilterScheduler] = FilterScheduler,
     perturb=None,
     perturb_after: int = 0,
 ) -> ReplayOutcome:
     """Replay ``ops`` through a fresh region + scheduler; snapshot the end.
 
+    ``scheduler_cls`` picks the implementation (the production
+    :class:`FilterScheduler` by default) and is built with the default
+    :class:`~repro.scheduler.config.SchedulerConfig`.
     ``perturb`` (called with ``(region, placement)`` after every op from
     index ``perturb_after`` until it returns ``True``) lets callers inject
     corruption mid-run.  Both differential paths replay identical ops and
@@ -226,8 +255,7 @@ def replay_workload(
     placement = PlacementService()
     for bb in region.iter_building_blocks():
         placement.register_building_block(bb)
-    scheduler_cls = _ScalarWeighScheduler if scalar_weighers else FilterScheduler
-    scheduler = scheduler_cls(region, placement, scheduler_config)
+    scheduler = scheduler_cls(region, placement)
     catalog = default_catalog()
     bb_index = {bb.bb_id: bb for bb in region.iter_building_blocks()}
     #: vm_id -> id of the node it landed on; resolved through the region
@@ -284,24 +312,6 @@ def replay_workload(
         if not perturbed and i >= perturb_after:
             perturbed = bool(perturb(region, placement))
 
-    index_mismatches: list[Mismatch] = []
-    if scheduler.index is not None:
-        scheduler.index.refresh()
-        for state in scheduler.index.states():
-            truth = HostState.from_building_block(
-                bb_index[state.host_id], placement
-            )
-            for name, actual, expected in state.diff_fields(truth):
-                index_mismatches.append(
-                    Mismatch(
-                        check="index_state",
-                        variant=variant,
-                        subject=state.host_id,
-                        field=name,
-                        expected=expected,
-                        actual=actual,
-                    )
-                )
     return ReplayOutcome(
         variant=variant,
         placements=placements,
@@ -309,8 +319,34 @@ def replay_workload(
         scheduler_stats=scheduler.stats_snapshot(),
         placement_stats={k: int(v) for k, v in placement.stats().items()},
         inventory=_inventory_snapshot(placement, bb_index),
-        index_mismatches=index_mismatches,
+        index_mismatches=index_mismatches(scheduler, bb_index, placement, variant),
     )
+
+
+def index_mismatches(
+    scheduler: FilterScheduler,
+    bb_index: dict[str, BuildingBlock],
+    placement: PlacementService,
+    variant: str,
+) -> list[Mismatch]:
+    """Fields where the refreshed index disagrees with a from-scratch rebuild."""
+    index = scheduler.index
+    index.refresh()
+    out: list[Mismatch] = []
+    for state in index.states():
+        truth = HostState.from_building_block(bb_index[state.host_id], placement)
+        for name, actual, expected in state.diff_fields(truth):
+            out.append(
+                Mismatch(
+                    check="index_state",
+                    variant=variant,
+                    subject=state.host_id,
+                    field=name,
+                    expected=expected,
+                    actual=actual,
+                )
+            )
+    return out
 
 
 #: Public alias: the recovery layer snapshots inventory the same way as the
@@ -438,26 +474,11 @@ def run_oracle(
         perturb_after = len(ops) // 2
     kwargs = {"perturb": perturb, "perturb_after": perturb_after or 0}
     reference = replay_workload(
-        spec,
-        ops,
-        SchedulerConfig(use_index=False, track_filter_counts=True),
-        variant="reference",
-        **kwargs,
+        spec, ops, variant="reference", scheduler_cls=_RescanScheduler, **kwargs
     )
-    indexed = replay_workload(
-        spec,
-        ops,
-        SchedulerConfig(use_index=True, track_filter_counts=False),
-        variant="indexed",
-        **kwargs,
-    )
+    indexed = replay_workload(spec, ops, variant="indexed", **kwargs)
     scalar = replay_workload(
-        spec,
-        ops,
-        SchedulerConfig(use_index=True, track_filter_counts=False),
-        variant="scalar",
-        scalar_weighers=True,
-        **kwargs,
+        spec, ops, variant="scalar", scheduler_cls=_ScalarWeighScheduler, **kwargs
     )
     mismatches = (
         diff_outcomes(reference, indexed)

@@ -49,7 +49,6 @@ from repro.recovery.snapshot import (
     capture_rng_state,
     restore_rng_state,
 )
-from repro.scheduler.config import SchedulerConfig
 from repro.verify.oracle import diff_outcomes, replay_workload, workload_ops
 from repro.verify.scenarios import get_scenario
 
@@ -68,7 +67,6 @@ def baseline():
     return replay_workload(
         TINY.topology(),
         workload_ops(TINY, SEED),
-        SchedulerConfig(use_index=True, track_filter_counts=False),
         variant="uninterrupted",
     )
 

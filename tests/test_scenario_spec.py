@@ -68,6 +68,12 @@ class TestValidation:
             ScenarioSpec.from_dict({"scheduler": {"max_attemps": 2}})
         assert "max_attemps" in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["use_index", "track_filter_counts"])
+    def test_retired_scheduler_switch_rejected_by_name(self, key):
+        with pytest.raises(ValueError) as exc:
+            ScenarioSpec.from_dict({"scheduler": {key: False}})
+        assert key in str(exc.value)
+
     def test_nested_section_errors_propagate(self):
         with pytest.raises(ValueError, match="host_failure_rate_per_day"):
             ScenarioSpec.from_dict(
@@ -115,7 +121,7 @@ class TestValidation:
             spec.to_dict()
 
     def test_scheduler_dict_bridge_round_trips(self):
-        config = SchedulerConfig(max_attempts=5, use_index=False)
+        config = SchedulerConfig(max_attempts=5, alternates=0)
         assert scheduler_config_from_dict(
             scheduler_config_to_dict(config)
         ) == config

@@ -1,9 +1,11 @@
 """Tests for SchedulerConfig and the consolidated scheduler API.
 
 Covers the config value object itself, the rejection of the retired
-keyword arguments on ``FilterScheduler``, the shared stats vocabulary, and — most importantly —
-placement equivalence: every (use_index, track_filter_counts) combination
-must produce byte-identical placements for the same request stream.
+keyword arguments on ``FilterScheduler`` and of the retired path switches
+on ``SchedulerConfig``, the shared stats vocabulary, and — most importantly —
+placement equivalence: the scheduler's one path (index, bucket
+pre-selection, cheapest-first filters) must place a request stream exactly
+as the from-scratch rescan reference of ``repro.verify.oracle`` does.
 """
 
 import pytest
@@ -27,17 +29,24 @@ from repro.scheduler.stats import (
     stats_of,
 )
 from repro.scheduler.weighers import RAMWeigher
+from repro.verify.oracle import _RescanScheduler
 
 from tests.conftest import build_tiny_region_spec
 
 
-def _stream(catalog, n=40):
-    """A deterministic mixed request stream for the tiny region."""
-    names = ("g_c1_m1", "g_c4_m16", "g_c16_m64", "h_c32_m512", "h_c96_m3072")
+def _stream(catalog, n=40, az=True, hana=True):
+    """A deterministic mixed request stream for the tiny region.
+
+    ``az`` adds availability-zone constraints to some requests and
+    ``hana`` mixes HANA flavors in with the general-purpose ones.
+    """
+    names = ("g_c1_m1", "g_c4_m16", "g_c16_m64")
+    if hana:
+        names += ("h_c32_m512", "h_c96_m3072")
     stream = []
     for i in range(n):
         kwargs = {}
-        if i % 7 == 3:
+        if az and i % 7 == 3:
             kwargs["availability_zone"] = "az1" if i % 2 else "az2"
         stream.append(
             RequestSpec(
@@ -47,26 +56,30 @@ def _stream(catalog, n=40):
     return stream
 
 
-def _replay(config, stream):
+def _replay(config, stream, scheduler_cls=FilterScheduler):
+    """``(vm_id -> (host, score, attempts) or None, scheduler, placement)``."""
     region = build_region(build_tiny_region_spec())
     placement = PlacementService()
     for bb in region.iter_building_blocks():
         placement.register_building_block(bb)
-    scheduler = FilterScheduler(region, placement, config)
+    scheduler = scheduler_cls(region, placement, config)
     placements = {}
     for spec in stream:
         try:
-            placements[spec.vm_id] = scheduler.schedule(spec).host_id
+            result = scheduler.schedule(spec)
         except NoValidHost:
             placements[spec.vm_id] = None
+        else:
+            placements[spec.vm_id] = (
+                result.host_id, result.score.hex(), result.attempts
+            )
     return placements, scheduler, placement
 
 
 class TestConfigObject:
     def test_defaults(self):
         config = SchedulerConfig()
-        assert config.use_index
-        assert config.track_filter_counts
+        assert config.filters is None and config.weighers is None
         assert config.max_attempts == 3
         assert config.alternates == 3
 
@@ -76,16 +89,14 @@ class TestConfigObject:
         with pytest.raises(ValueError):
             SchedulerConfig(alternates=-1)
 
-    def test_fast_disables_trace_only(self):
-        config = SchedulerConfig(max_attempts=5)
-        fast = config.fast()
-        assert not fast.track_filter_counts
-        assert fast.max_attempts == 5
-        assert config.track_filter_counts  # original untouched (frozen)
+    @pytest.mark.parametrize("switch", ["use_index", "track_filter_counts"])
+    def test_retired_path_switches_are_rejected(self, switch):
+        with pytest.raises(TypeError, match=switch):
+            SchedulerConfig(**{switch: False})
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            SchedulerConfig().use_index = False
+            SchedulerConfig().max_attempts = 5
 
 
 class TestDeprecatedShims:
@@ -119,28 +130,32 @@ class TestDeprecatedShims:
 
 
 class TestPlacementEquivalence:
-    """All hot-path toggles must yield identical placements."""
+    """The one scheduling path places exactly as the rescan reference."""
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    @pytest.mark.parametrize("track", [True, False])
-    def test_matches_reference_combination(self, use_index, track):
-        catalog = default_catalog()
-        stream = _stream(catalog)
-        reference, _, _ = _replay(
-            SchedulerConfig(use_index=False, track_filter_counts=True), stream
-        )
-        got, _, _ = _replay(
-            SchedulerConfig(use_index=use_index, track_filter_counts=track), stream
-        )
+    @pytest.mark.parametrize("az", [True, False])
+    @pytest.mark.parametrize("hana", [True, False])
+    def test_matches_reference_combination(self, az, hana):
+        # With AZ-constrained requests the AZ filter runs, without them it
+        # is skipped; HANA requests split the region by aggregate.
+        stream = _stream(default_catalog(), az=az, hana=hana)
+        assert any(spec.availability_zone for spec in stream) == az
+        assert any(spec.flavor.name.startswith("h_") for spec in stream) == hana
+        reference, _, _ = _replay(SchedulerConfig(), stream, _RescanScheduler)
+        got, _, _ = _replay(SchedulerConfig(), stream)
         assert got == reference
+        if az and hana:
+            # The full mix fills the region until requests are rejected.
+            assert None in got.values()
 
-    def test_fast_mode_drops_trace_but_counts_survivors(self):
+    def test_filtered_counts_name_each_filter_that_ran(self):
         catalog = default_catalog()
-        _, scheduler, _ = _replay(SchedulerConfig().fast(), _stream(catalog, n=5))
-        result = scheduler.schedule(
-            RequestSpec(vm_id="probe", flavor=catalog.get("g_c1_m1"))
-        )
-        assert set(result.filtered_counts) == {"initial", "survivors"}
+        _, scheduler, _ = _replay(SchedulerConfig(), _stream(catalog, n=5))
+        probe = RequestSpec(vm_id="probe", flavor=catalog.get("g_c1_m1"))
+        ran = [flt.name for flt in scheduler.filters if flt.relevant(probe)]
+        counts = scheduler.schedule(probe).filtered_counts
+        assert set(counts) == {"initial", *ran}
+        assert "AvailabilityZoneFilter" not in counts  # no AZ asked: skipped
+        assert counts["AggregateInstanceExtraSpecsFilter"] < counts["initial"]
 
 
 class TestFilterRelevance:

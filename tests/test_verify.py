@@ -137,11 +137,8 @@ def test_mismatch_to_dict_is_jsonable():
 
 def test_diff_outcomes_reports_field_level():
     ops = workload_ops(TINY, 7)
-    from repro.scheduler.config import SchedulerConfig
-
-    cfg = SchedulerConfig(use_index=True, track_filter_counts=False)
-    a = replay_workload(TINY.topology(), ops, cfg, variant="a")
-    b = replay_workload(TINY.topology(), ops, cfg, variant="b")
+    a = replay_workload(TINY.topology(), ops, variant="a")
+    b = replay_workload(TINY.topology(), ops, variant="b")
     assert diff_outcomes(a, b) == []
     # Perturb one placement: exactly that VM is reported.
     victim = next(iter(b.placements))

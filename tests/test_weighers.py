@@ -13,9 +13,7 @@ from repro.scheduler.weighers import (
     NumInstancesWeigher,
     RAMWeigher,
     WeigherPipeline,
-    _normalize,
 )
-import numpy as np
 
 
 def host(host_id, vcpus=0.0, ram=0.0, disk=0.0, instances=0) -> HostState:
@@ -58,14 +56,20 @@ class TestRawWeights:
         assert weigher.raw_weight(tight, SPEC) > weigher.raw_weight(roomy, SPEC)
 
 
+def _scores(hosts) -> list[float]:
+    """One CPU weigher's pipeline scores, in the order of ``hosts``."""
+    ranked = WeigherPipeline([CPUWeigher(1.0)]).rank(hosts, SPEC)
+    by_id = {h.host_id: score for h, score in ranked}
+    return [by_id[h.host_id] for h in hosts]
+
+
 class TestNormalization:
     def test_min_max_to_unit_interval(self):
-        out = _normalize(np.asarray([10.0, 20.0, 30.0]))
-        assert list(out) == [0.0, 0.5, 1.0]
+        hosts = [host("a", vcpus=10), host("b", vcpus=20), host("c", vcpus=30)]
+        assert _scores(hosts) == [0.0, 0.5, 1.0]
 
     def test_constant_column_is_zero(self):
-        out = _normalize(np.asarray([5.0, 5.0]))
-        assert list(out) == [0.0, 0.0]
+        assert _scores([host("a", vcpus=5), host("b", vcpus=5)]) == [0.0, 0.0]
 
 
 class TestPipeline:
