@@ -13,22 +13,11 @@ Flavor names follow the SAP convention of a family prefix plus a size suffix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator
 
 from repro.infrastructure.capacity import Capacity
 
 GIB_MB = 1024  # MiB per GiB; flavor RAM is specified in GiB in the paper.
-
-
-@lru_cache(maxsize=1024)
-def _requested_capacity(flavor: "Flavor") -> Capacity:
-    # Flavor and Capacity are both frozen, so the shared instance is safe;
-    # schedulers and DRS call requested() on every candidate check and the
-    # Capacity churn shows up in profiles.
-    return Capacity(
-        vcpus=flavor.vcpus, memory_mb=flavor.ram_mb, disk_gb=flavor.disk_gb
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +45,9 @@ class Flavor:
     disk_gb: float = 50.0
     family: str = "general"
     extra_specs: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    #: What ``requested()`` returns, built once: schedulers and DRS call
+    #: it on every candidate check.  Derived, so outside eq/hash/repr.
+    _requested: Capacity = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vcpus <= 0:
@@ -64,6 +56,12 @@ class Flavor:
             raise ValueError("ram_gib must be positive")
         if self.disk_gb < 0:
             raise ValueError("disk_gb must be non-negative")
+        # Flavor and Capacity are both frozen, so every caller may share it.
+        object.__setattr__(
+            self,
+            "_requested",
+            Capacity(vcpus=self.vcpus, memory_mb=self.ram_mb, disk_gb=self.disk_gb),
+        )
 
     @property
     def ram_mb(self) -> float:
@@ -71,8 +69,8 @@ class Flavor:
         return self.ram_gib * GIB_MB
 
     def requested(self) -> Capacity:
-        """The capacity this flavor requests from a host (memoized)."""
-        return _requested_capacity(self)
+        """The capacity this flavor requests from a host."""
+        return self._requested
 
     def spec(self, key: str, default: str | None = None) -> str | None:
         """Look up an extra-spec value."""

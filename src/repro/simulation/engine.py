@@ -1,8 +1,10 @@
 """Minimal deterministic discrete-event engine.
 
 Events are ordered by (time, sequence number), so same-time events run in
-scheduling order and replays are exactly reproducible.  Handlers are
-registered per event kind; a handler may schedule further events.
+scheduling order and replays are exactly reproducible.  The heap holds
+``(time, seq, event)`` tuples: ``seq`` is unique, so the tuple comparison,
+which runs in C, never reaches the event.  Handlers are registered per
+event kind; a handler may schedule further events.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Event:
     """A scheduled simulation event."""
 
     time: float
-    seq: int = field(compare=True)
+    seq: int
     kind: str = field(compare=False)
     payload: dict[str, Any] = field(compare=False, default_factory=dict)
 
@@ -31,7 +33,7 @@ class SimulationEngine:
     """Priority-queue event loop with per-kind handlers."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._handlers: dict[str, Handler] = {}
         #: Per-kind index of queued events (seq → event), maintained by
@@ -67,17 +69,18 @@ class SimulationEngine:
                 f"cannot schedule {kind!r} at {time} before current time "
                 f"{self.now} (negative delay)"
             )
-        event = Event(time=time, seq=next(self._seq), kind=kind, payload=payload)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time=time, seq=seq, kind=kind, payload=payload)
+        heapq.heappush(self._queue, (time, seq, event))
         index = self._pending_by_kind.get(kind)
         if index is None:
             index = self._pending_by_kind[kind] = {}
-        index[event.seq] = event
+        index[seq] = event
         return event
 
     def peek_time(self) -> float | None:
         """Timestamp of the next pending event, or None when idle."""
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def iter_pending(self, kind: str | None = None) -> list[Event]:
         """Snapshot of queued events (optionally one kind), unordered.
@@ -87,7 +90,7 @@ class SimulationEngine:
         meaningful, so callers must not rely on it.
         """
         if kind is None:
-            return list(self._queue)
+            return [entry[2] for entry in self._queue]
         index = self._pending_by_kind.get(kind)
         return list(index.values()) if index else []
 
@@ -95,7 +98,7 @@ class SimulationEngine:
         """Process one event; returns it, or None when the queue is empty."""
         if not self._queue:
             return None
-        event = heapq.heappop(self._queue)
+        event = heapq.heappop(self._queue)[2]
         del self._pending_by_kind[event.kind][event.seq]
         self.now = event.time
         handler = self._handlers.get(event.kind)
@@ -113,7 +116,7 @@ class SimulationEngine:
     def run_until(self, end_time: float) -> int:
         """Process events with ``time <= end_time``; returns the count."""
         n = 0
-        while self._queue and self._queue[0].time <= end_time:
+        while self._queue and self._queue[0][0] <= end_time:
             self.step()
             n += 1
         self.now = max(self.now, end_time)

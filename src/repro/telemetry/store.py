@@ -4,15 +4,30 @@ Models the Prometheus/Thanos role in the paper's pipeline (§4): exporters
 append samples for ``(metric, labels)`` pairs; analyses issue range queries
 and cross-series aggregations.
 
-Storage is columnar and append-mostly: each series holds one
-``array('d')`` buffer per column (timestamps, values) — no per-sample
-Python objects — and is finalised into sorted numpy arrays lazily on
-first read.  Every bulk write (``append_series``, ``append_columns``,
-``ingest_blocks``) copies float64 columns in with one ``frombytes``.
-Besides the flat ``(metric, labels)`` map, the store keeps a per-metric
-list of series in creation order, each with its label dict built once,
-so a selector scans only its own metric's series.  Staleness markers are
-NaN sentinels
+Storage is columnar, with no per-sample Python objects, and the write
+pattern picks each series' representation:
+
+- A series whose first write is a bulk write (``append_series``,
+  ``append_columns``, ``ingest_blocks``) holds two read-only float64
+  columns: a timestamps column interned by the store, matched by exact
+  bytes, so every series written with the same grid holds the same array
+  object (Prometheus stores a regular grid almost for free the same way,
+  with delta-of-delta encoding); and its own copy of the values.  When
+  the grid strictly increases (checked once per interned grid), reads
+  return a :class:`~repro.telemetry.timeseries.TimeSeries` over those two
+  arrays with no copy.
+- Every other series, and a bulk-written one from its first later write
+  of any kind (copy-on-write), holds one ``array('d')`` per column.  The
+  per-sample paths (``append``, ``ingest``, :class:`SeriesHandle`) append
+  to those, and a read finalises them lazily into sorted, deduplicated
+  numpy copies.
+
+Series returned by reads are read-only: the arrays of a grid-backed
+series are shared with the store (the timestamps with other series too),
+and writing into them raises.  Besides the flat ``(metric, labels)`` map,
+the store keeps a per-metric list of series in creation order, each with
+its label dict built once, so a selector scans only its own metric's
+series.  Staleness markers are NaN sentinels
 (:data:`~repro.telemetry.timeseries.STALE`) stored inline in the value
 column, so they survive every bulk path untouched.  Window reads go
 through an LRU cache that is invalidated by appends (the cache key
@@ -73,22 +88,54 @@ class SampleBlock(NamedTuple):
 
 
 class _SeriesBuffer:
-    """Columnar append buffer finalised into a TimeSeries on demand."""
+    """One series' columns, finalised into a TimeSeries on demand.
+
+    ``_ts``/``_vs`` are either two ``array('d')`` append buffers or, for
+    a series created by a bulk write, the store's interned read-only
+    timestamps grid and a read-only values copy; the first later write
+    converts those to ``array('d')`` (:meth:`_thaw`).
+    """
 
     __slots__ = ("_ts", "_vs", "_finalized")
 
     def __init__(self) -> None:
-        self._ts: array = array("d")
-        self._vs: array = array("d")
+        self._ts: array | np.ndarray = array("d")
+        self._vs: array | np.ndarray = array("d")
         self._finalized: TimeSeries | None = None
 
+    @classmethod
+    def on_grid(cls, grid: np.ndarray, ascending: bool, vs: np.ndarray) -> "_SeriesBuffer":
+        """A series over the interned ``grid`` and its own values ``vs``;
+        ``ascending`` (the grid strictly increases) makes it its own
+        finalised view."""
+        buf = cls.__new__(cls)
+        buf._ts = grid
+        buf._vs = vs
+        buf._finalized = None
+        if ascending:
+            # A view over the two columns, without the constructor's
+            # per-series order check: the grid was checked once.
+            view = buf._finalized = object.__new__(TimeSeries)
+            view.timestamps, view.values = grid, vs
+        return buf
+
+    def _thaw(self) -> None:
+        """Copy read-only columns into ``array('d')`` buffers (copy-on-write)."""
+        if type(self._ts) is not array:
+            ts, vs = array("d"), array("d")
+            ts.frombytes(memoryview(self._ts).cast("B"))
+            vs.frombytes(memoryview(self._vs).cast("B"))
+            self._ts, self._vs = ts, vs
+
     def append(self, t: float, v: float) -> None:
+        self._thaw()
         self._ts.append(t)
         self._vs.append(v)
         self._finalized = None
 
     def extend_columns(self, ts: np.ndarray, vs: np.ndarray) -> None:
         """Bulk append from float64 arrays (zero Python-level loop)."""
+        self._thaw()
         self._ts.frombytes(ts.tobytes())
         self._vs.frombytes(vs.tobytes())
         self._finalized = None
@@ -126,6 +173,7 @@ class SeriesHandle:
     __slots__ = ("_buf", "_ts", "_vs")
 
     def __init__(self, buf: _SeriesBuffer) -> None:
+        buf._thaw()
         self._buf = buf
         self._ts = buf._ts
         self._vs = buf._vs
@@ -182,6 +230,10 @@ class MetricStore:
         #: end); appends bump the count, so stale entries are unreachable
         #: and age out.
         self._range_cache: OrderedDict[tuple, TimeSeries] = OrderedDict()
+        #: Interned timestamps columns of bulk-written series, keyed by
+        #: their bytes: (read-only float64 view over the key, whether it
+        #: strictly increases).
+        self._grids: dict[bytes, tuple[np.ndarray, bool]] = {}
 
     def _normalize_cached(self, labels: dict[str, str] | Labels | None) -> Labels:
         if type(labels) is tuple:
@@ -191,11 +243,35 @@ class MetricStore:
             return cached
         return _normalize_labels(labels)
 
-    def _new_series(self, key: tuple[str, Labels]) -> _SeriesBuffer:
-        """Create the series ``key`` in both the flat map and the metric index."""
-        buf = self._series[key] = _SeriesBuffer()
+    def _new_series(
+        self, key: tuple[str, Labels], buf: _SeriesBuffer | None = None
+    ) -> _SeriesBuffer:
+        """Create the series ``key`` (empty, or ``buf``) in both the flat
+        map and the metric index."""
+        if buf is None:
+            buf = _SeriesBuffer()
+        self._series[key] = buf
         self._by_metric.setdefault(key[0], []).append((dict(key[1]), buf))
         return buf
+
+    def _write_columns(self, key: tuple[str, Labels], ts: np.ndarray, vs: np.ndarray) -> None:
+        """Bulk-write equally sized float64 columns to series ``key``.
+
+        A new series goes on the interned copy of ``ts``, with its own
+        read-only copy of ``vs``; an existing one appends.
+        """
+        buf = self._series.get(key)
+        if buf is not None:
+            buf.extend_columns(ts, vs)
+            return
+        raw = ts.tobytes()
+        grid = self._grids.get(raw)
+        if grid is None:
+            column = np.frombuffer(raw, dtype=_FLOAT64)
+            ascending = len(column) < 2 or bool(np.all(np.diff(column) > 0))
+            grid = self._grids[raw] = (column, ascending)
+        values = np.frombuffer(vs.tobytes(), dtype=_FLOAT64)
+        self._new_series(key, _SeriesBuffer.on_grid(*grid, values))
 
     def _buffer(self, metric: str, labels: dict[str, str] | Labels | None) -> _SeriesBuffer:
         key = (metric, self._normalize_cached(labels))
@@ -253,7 +329,8 @@ class MetricStore:
         series: TimeSeries,
     ) -> None:
         """Append a whole series at once (bulk ingest, one buffer copy)."""
-        self._buffer(metric, labels).extend_columns(
+        self._write_columns(
+            (metric, self._normalize_cached(labels)),
             np.asarray(series.timestamps, dtype=float),
             np.asarray(series.values, dtype=float),
         )
@@ -274,7 +351,7 @@ class MetricStore:
         vs = np.ascontiguousarray(values, dtype=float)
         if ts.ndim != 1 or ts.shape != vs.shape:
             raise ValueError("timestamps/values must be equally sized 1-D arrays")
-        self._buffer(metric, labels).extend_columns(ts, vs)
+        self._write_columns((metric, self._normalize_cached(labels)), ts, vs)
         return len(ts)
 
     def append_stale(
@@ -306,6 +383,7 @@ class MetricStore:
             buf = series.get(key)
             if buf is None:
                 buf = self._new_series(key)
+            buf._thaw()
             buf._ts.append(timestamp)
             buf._vs.append(value)
             buf._finalized = None
@@ -320,7 +398,6 @@ class MetricStore:
         have the right shape.
         """
         n = 0
-        series = self._series
         label_cache = self._label_cache
         ndarray = np.ndarray
         float64 = _FLOAT64
@@ -345,13 +422,7 @@ class MetricStore:
                     normalized = label_cache[labels] = tuple(sorted(labels))
             else:
                 normalized = _normalize_labels(labels)
-            key = (metric, normalized)
-            buf = series.get(key)
-            if buf is None:
-                buf = self._new_series(key)
-            buf._ts.frombytes(ts.tobytes())
-            buf._vs.frombytes(vs.tobytes())
-            buf._finalized = None
+            self._write_columns((metric, normalized), ts, vs)
             n += len(ts)
         return n
 
@@ -443,16 +514,25 @@ class MetricStore:
         elements as a 1-D call on that row (pairwise sum for mean/sum,
         partition and lerp for p95), so the bits equal the per-row loop's.
         Rows with a gap, and callable aggs, take the per-row loop.
+
+        When every matched series holds the same timestamps object (series
+        bulk-written on one interned, strictly increasing grid), that
+        array is the union and each series fills one column in order.
         """
         agg_fn = _resolve_agg(agg)
         # An empty series adds no sample anywhere, only a gap in every row.
         all_series = [s for _, s in self.select(metric, matcher) if len(s)]
         if not all_series:
             return TimeSeries.empty()
-        union = np.unique(np.concatenate([s.timestamps for s in all_series]))
-        values = np.full((len(union), len(all_series)), np.nan)
-        for i, s in enumerate(all_series):
-            values[np.searchsorted(union, s.timestamps), i] = s.values
+        axis = all_series[0].timestamps
+        if all(s.timestamps is axis for s in all_series):
+            union = axis
+            values = np.column_stack([s.values for s in all_series])
+        else:
+            union = np.unique(np.concatenate([s.timestamps for s in all_series]))
+            values = np.full((len(union), len(all_series)), np.nan)
+            for i, s in enumerate(all_series):
+                values[np.searchsorted(union, s.timestamps), i] = s.values
         out = np.empty(len(union))
         loop_rows = range(len(union))
         if not callable(agg):

@@ -27,7 +27,12 @@ def is_stale(value: float) -> bool:
 
 
 class TimeSeries:
-    """An immutable (by convention) timestamped value sequence."""
+    """An immutable (by convention) timestamped value sequence.
+
+    Series read from a :class:`~repro.telemetry.store.MetricStore` may be
+    views over the store's read-only columns; never write into
+    ``timestamps`` or ``values``.
+    """
 
     __slots__ = ("timestamps", "values")
 

@@ -407,7 +407,7 @@ def _check_goldens(
             scenario=scenario.name,
             seed=seed,
             ok=True,
-            summary=f"golden regenerated: {path}",
+            summary=f"golden regenerated: golden/{path.name}",
         )
     result = check_golden(scenario, seed, directory)
     return CheckOutcome(
@@ -415,7 +415,7 @@ def _check_goldens(
         scenario=scenario.name,
         seed=seed,
         ok=result.ok,
-        summary=f"golden {result.status}: {result.path}",
+        summary=f"golden {result.status}: golden/{Path(result.path).name}",
         diff=result.diff,
     )
 

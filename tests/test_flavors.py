@@ -1,5 +1,7 @@
 """Tests for the flavor catalogue and Table 1/2 classification bounds."""
 
+import dataclasses
+
 import pytest
 
 from repro.infrastructure.flavors import (
@@ -38,6 +40,17 @@ class TestFlavor:
         assert cap.vcpus == 4
         assert cap.memory_mb == 16 * 1024
         assert cap.disk_gb == 100
+
+    def test_requested_capacity_is_derived_state(self):
+        flavor = Flavor("f", vcpus=4, ram_gib=16)
+        assert flavor.requested() is flavor.requested()
+        # Outside equality, hashing and repr; replace() recomputes it.
+        assert flavor == Flavor("f", vcpus=4, ram_gib=16)
+        assert hash(flavor) == hash(Flavor("f", vcpus=4, ram_gib=16))
+        assert "requested" not in repr(flavor)
+        bigger = dataclasses.replace(flavor, vcpus=8)
+        assert bigger.requested().vcpus == 8
+        assert flavor.requested().vcpus == 4
 
     def test_invalid_vcpus_raises(self):
         with pytest.raises(ValueError):

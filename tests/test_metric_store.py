@@ -393,3 +393,100 @@ class TestAppendSeriesBytes:
         assert buf._ts.tobytes() == _extended([0.0, 60.0, 120.0, 180.0, 240.0])
         assert buf._vs.tobytes() == _extended([1.0, 2.0, 3.0, 4.0, np.nan])
         assert np.isnan(store.query("m").values[-1])
+
+
+_GRID = np.arange(0.0, 600.0, 60.0)
+
+
+def _write_kinds():
+    """One later write of each kind, all appending the sample (600, 7)."""
+    return {
+        "append": lambda s: s.append("m", {"k": "v"}, 600.0, 7.0),
+        "ingest": lambda s: s.ingest([Sample("m", (("k", "v"),), 600.0, 7.0)]),
+        "handle": lambda s: s.series_handle("m", {"k": "v"}).append(600.0, 7.0),
+        "bulk": lambda s: s.append_columns("m", {"k": "v"}, [600.0], [7.0]),
+    }
+
+
+class TestSharedTimeAxis:
+    """Bulk-written series sit on interned, read-only timestamps columns."""
+
+    def test_equal_grids_share_one_read_only_timestamps_column(self):
+        store = MetricStore()
+        grid = _GRID.copy()
+        store.append_columns("cpu", {"h": "a"}, grid, np.ones(10))
+        store.append_series("mem", {"h": "a"}, TimeSeries(_GRID.copy(), np.zeros(10)))
+        store.ingest_blocks([SampleBlock("cpu", (("h", "b"),), _GRID + 0.0, np.arange(10.0))])
+        store.append_columns("cpu", {"h": "c"}, _GRID[:5], np.ones(5))
+        a, mem, b, c = store._series.values()
+        assert a._ts is mem._ts is b._ts
+        assert c._ts is not a._ts
+        # The store holds its own bytes: the caller's arrays stay theirs.
+        grid[0] = -1.0
+        assert a._ts[0] == 0.0
+
+        series = store.query("cpu", {"h": "a"})
+        assert series.timestamps is a._ts and series.values is a._vs
+        with pytest.raises(ValueError, match="read-only"):
+            series.values[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            series.timestamps[0] = 5.0
+
+    @pytest.mark.parametrize("write", list(_write_kinds()))
+    def test_a_later_write_copies_on_write(self, write):
+        store = MetricStore()
+        store.append_columns("m", {"k": "v"}, _GRID, np.arange(10.0))
+        store.append_columns("m", {"k": "w"}, _GRID, -np.arange(10.0))
+        before = store.query("m", {"k": "v"})
+        _write_kinds()[write](store)
+
+        buf, other = store._series.values()
+        assert type(buf._ts) is array and type(buf._vs) is array
+        assert buf._ts.tobytes() == _extended([*_GRID, 600.0])
+        assert buf._vs.tobytes() == _extended([*range(10), 7.0])
+        assert store.query("m", {"k": "v"}).values[-1] == 7.0
+        assert len(before) == 10
+        # The shared grid, and the series still on it, are untouched.
+        assert other._ts.tobytes() == _GRID.tobytes()
+        assert store.query("m", {"k": "w"}).timestamps is other._ts
+
+    def test_unordered_grid_reads_sorted_and_deduplicated(self):
+        store = MetricStore()
+        store.append_columns("m", None, [120.0, 0.0, 60.0, 0.0], [3.0, 1.0, 2.0, 9.0])
+        series = store.query("m")
+        assert series.timestamps.tolist() == [0.0, 60.0, 120.0]
+        assert series.values.tolist() == [9.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "agg", ["mean", "sum", "max", "min", "p95", "count", lambda a: float(np.median(a))]
+    )
+    def test_aggregate_on_the_shared_axis_equals_the_union_path(self, agg):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(4, len(_GRID)))
+        values[1, 2] = np.nan  # a gap row
+        values[:, 5] = np.nan  # a row with no sample at all
+        bulk, per_sample = MetricStore(), MetricStore()
+        for i, column in enumerate(values):
+            bulk.append_columns("m", {"i": str(i)}, _GRID, column)
+            for t, v in zip(_GRID, column):
+                per_sample.append("m", {"i": str(i)}, t, v)
+        bulk.append_columns("m", {"i": "empty"}, [], [])
+
+        shared = bulk.aggregate_across("m", agg=agg)
+        union = per_sample.aggregate_across("m", agg=agg)
+        assert shared.timestamps is bulk._series[("m", (("i", "0"),))]._ts
+        assert shared.timestamps.tobytes() == union.timestamps.tobytes()
+        assert shared.values.tobytes() == union.values.tobytes()
+        assert np.isnan(shared.values[5])
+
+
+def test_generated_node_series_share_one_timestamps_column():
+    from repro.datagen import GeneratorConfig, generate_dataset
+
+    store = generate_dataset(GeneratorConfig(scale=0.02, days=3, vm_series_limit=5)).store
+    host_metrics = [m for m in store.metrics() if m.startswith("vrops_hostsystem_")]
+    columns = {
+        id(series.timestamps) for m in host_metrics for _, series in store.select(m)
+    }
+    assert len(host_metrics) == 7
+    assert len(columns) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.cli import main
 from repro.scheduler.hoststate import HostState
 from repro.verify.goldens import (
     check_golden,
+    default_goldens_dir,
     golden_document,
     read_golden_text,
     render_document,
@@ -207,6 +209,22 @@ def test_checked_in_goldens_match():
     """The goldens under tests/goldens/ track the current behaviour."""
     result = check_golden(TINY, 7)
     assert result.ok, f"{result.status}:\n{result.diff}"
+
+
+def test_golden_summary_is_independent_of_the_goldens_directory(tmp_path):
+    """Reports of two checkouts compare equal: the summary names the
+    golden file relative to its directory, not by absolute path."""
+    summaries = []
+    for copy in ("a", "nested/b"):
+        directory = tmp_path / copy
+        shutil.copytree(default_goldens_dir(), directory)
+        config = VerifyConfig(
+            scenario="tiny", seeds=(7,), checks=("goldens",), goldens_dir=str(directory)
+        )
+        [outcome] = run_verify(config).outcomes
+        assert outcome.ok, outcome.diff
+        summaries.append(outcome.summary)
+    assert summaries[0] == summaries[1] == "golden ok: golden/tiny-seed7.json.gz"
 
 
 # -- runner ----------------------------------------------------------------------
