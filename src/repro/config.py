@@ -207,6 +207,7 @@ class ScenarioSpec:
         kwargs: dict = {
             name: data[name] for name in scalar_names if name in data
         }
+        _check_number_types(cls, kwargs)
         if "scheduler" in data:
             kwargs["scheduler"] = scheduler_config_from_dict(data["scheduler"])
         if "faults" in data:
@@ -267,6 +268,24 @@ class ScenarioSpec:
             self.topology_spec(), self.simulation_config(), journal=journal
         )
         return sim.run()
+
+
+def _check_number_types(cls, values: dict) -> None:
+    """Reject a JSON value of the wrong type for a numeric field of ``cls``.
+
+    An int field takes an int (not a bool); a float field takes an int or
+    a float (not a bool).  Without this a ``null`` or a string reaches the
+    range checks as a comparison ``TypeError``, and ``1.5`` VMs pass them
+    all and fail only when the run is built.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    for name, value in values.items():
+        if types[name] == "int" and (type(value) is bool or not isinstance(value, int)):
+            raise ValueError(f"{cls.__name__}.{name} must be an integer, got {value!r}")
+        if types[name] == "float" and (
+            type(value) is bool or not isinstance(value, (int, float))
+        ):
+            raise ValueError(f"{cls.__name__}.{name} must be a number, got {value!r}")
 
 
 # -- retired per-CLI config shapes -------------------------------------------

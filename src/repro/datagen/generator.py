@@ -12,8 +12,8 @@ evaluating one VM and one node at a time:
 
 - demand is evaluated by
   :func:`~repro.workloads.waveform.evaluate_windows` in blocks of VMs
-  taken in record order, drawing each VM's randomness in the order its
-  pattern closures would, so the shared generator ends where the per-VM
+  taken in record order (sized by a byte budget), drawing each VM's
+  randomness in the order its pattern records would, so the shared generator ends where the per-VM
   loop leaves it.  Averages, resize scaling and the adds into the node
   accumulators stay per VM, in order;
 - node metrics resolve :data:`_CHUNK_NODES` nodes per (nodes × grid)

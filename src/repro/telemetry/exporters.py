@@ -214,13 +214,14 @@ class NovaExporter:
     so the gauges are published per BB.
 
     :meth:`emit_region` is the interned fast path: per-BB labels, series
-    handles, and the static allocatable capacities are resolved once (the
-    topology does not change mid-run), so each scrape reads only the live
-    allocation state.
+    handles, and the static allocatable capacities are resolved once per
+    (store, region) pair (the topology does not change mid-run), so each
+    scrape reads only the live allocation state.
     """
 
     def __init__(self) -> None:
         self._handle_store: MetricStore | None = None
+        self._handle_region: Region | None = None
         #: (bb, allocatable_vcpus, allocatable_memory_mb, 4 gauge handles)
         self._bb_entries: list[tuple] = []
         self._total_handle: SeriesHandle | None = None
@@ -233,8 +234,13 @@ class NovaExporter:
         Identical samples (metrics, labels, values, order) to
         :meth:`scrape_region` + ``store.ingest``; returns the count.
         """
-        if store is not self._handle_store or self._total_handle is None:
+        if (
+            store is not self._handle_store
+            or region is not self._handle_region
+            or self._total_handle is None
+        ):
             self._handle_store = store
+            self._handle_region = region
             entries: list[tuple] = []
             for bb in region.iter_building_blocks():
                 labels = tuple(

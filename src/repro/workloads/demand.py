@@ -1,8 +1,9 @@
 """Per-VM demand synthesis: bind a profile to a flavor and emit demand series.
 
 A :class:`VMDemand` holds the sampled average utilisation ratios and pattern
-closures for one VM; :meth:`VMDemand.evaluate` turns a timestamp grid into
-absolute resource demand (vCPU-seconds-per-second, MiB, kbps, GiB).
+records (:mod:`repro.workloads.patterns`) for one VM;
+:meth:`VMDemand.evaluate` turns a timestamp grid into absolute resource
+demand (vCPU-seconds-per-second, MiB, kbps, GiB).
 """
 
 from __future__ import annotations

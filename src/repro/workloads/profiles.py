@@ -5,6 +5,13 @@ utilisation ratio is drawn — calibrated so the population reproduces the
 paper's Fig 14 CDFs — and (b) the temporal pattern shaping demand around
 that average.
 
+A channel is one of the pattern records of :mod:`repro.workloads.patterns`
+under a top-level noise: cpu a constant, ramp, diurnal × weekly, bursty
+or max(constant, spike); memory a constant or a ramp.  Those are the
+shapes :mod:`repro.workloads.waveform` reads into parameter rows; the
+draws a profile makes while building them (peak hours, burst levels,
+periods) happen once, here, and the records keep only the results.
+
 Calibration targets (Fig 14, §5.5):
 
 - CPU: >80% of VMs use <70% of allocated CPU on average (strong

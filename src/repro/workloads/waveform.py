@@ -2,14 +2,14 @@
 
 The simulation reads every VM's demand at a single timestamp: once per
 900 s scrape tick, and again for every DRS load read at the pass's
-``now``.  The vectorised pattern closures in
+``now``.  The vectorised pattern records in
 :mod:`repro.workloads.patterns` are built for timestamp *grids*; calling
 them with one-element arrays allocates half a dozen temporaries plus a
 :class:`~repro.workloads.demand.DemandSnapshot` per VM per read.
 
 So the simulation reads demand through one :class:`DemandTable`.
-``put(vm_id, demand)`` reads the ``basis`` metadata the pattern
-factories attach and writes a parameter *row* for the four base shapes
+``put(vm_id, demand)`` reads the fields of the pattern records (by
+exact type) and writes a parameter *row* for the four base shapes
 the profiles build (constant or ramp, diurnal × weekly, bursty,
 max(constant, spike)), each under a top-level noise; the table keeps one
 row per VM in numpy columns, and :meth:`DemandTable.evaluate` computes a
@@ -23,7 +23,7 @@ grid ``[now]`` called VM by VM in slot order, and leaves the shared
 generator where those calls would.  That call is the table's only
 fallback and the reference the ``scrape_path`` gate compares the
 simulation against (:mod:`repro.verify.reference`).  The rows rely on
-what a one-element grid makes of each closure:
+what a one-element grid makes of each record:
 
 - a ramp measures progress from ``ts[0]``, so it reads as its start
   level;
@@ -32,19 +32,19 @@ what a one-element grid makes of each closure:
   ``z * z``; array ``np.exp`` and ``np.remainder`` equal the one-element
   calls bit for bit.
 
-The draws keep the closures' stream order (cpu shape draws, cpu noise,
+The draws keep the records' stream order (cpu shape draws, cpu noise,
 mem shape draws, mem noise): each maximal run of Gaussians is one
 ``standard_normal`` call, scaled as ``0.0 + sigma * gauss`` (which is
 what ``rng.normal(0.0, sigma)`` computes, draw for draw), a bursty
 channel's uniform breaks the run, and a VM without a row (*opaque*: any
 other shape, a channel without noise or on another generator, a nested
-noise, a hand-written stand-in) breaks it by calling its own
-``evaluate`` in place.  ``tests/test_demand_batch.py`` guards the numpy
+noise, a hand-written stand-in or a subclass) breaks it by calling its
+own ``evaluate`` in place.  ``tests/test_demand_batch.py`` guards the numpy
 facts by name, and that the batch equals the sequence of reference
 reads.
 
 Datagen evaluates every VM over its window of one sampling grid through
-:func:`evaluate_windows`, from the same metadata: :func:`_read_channel`
+:func:`evaluate_windows`, from the same fields: :func:`_read_channel`
 is the one reader of a channel's shape (kind, parameters, generators),
 shared by the table rows and the grid blocks.  It keeps a ramp's end
 level and duration and a bursty shape's correlation, which a
@@ -64,7 +64,17 @@ import math
 import numpy as np
 
 from repro.workloads.demand import VMDemand
-from repro.workloads.patterns import SECONDS_PER_DAY
+from repro.workloads.patterns import (
+    SECONDS_PER_DAY,
+    Bursty,
+    Composite,
+    Constant,
+    Diurnal,
+    Noisy,
+    Ramp,
+    SpikeTrain,
+    Weekly,
+)
 
 _DAY = float(SECONDS_PER_DAY)
 
@@ -86,42 +96,55 @@ _MEM = _CPU + 8
 _WIDTH = _MEM + 8
 
 
-def _kind(pattern) -> str | None:
-    basis = getattr(pattern, "basis", None)
-    return basis[0] if basis else None
-
-
 def _shape_row(base) -> tuple[float, tuple, object] | None:
     """``(kind, params, rng)`` of a base shape a row can hold, else None.
 
-    The one reader of the shape metadata, shared by the table rows and
-    the grid blocks (:func:`_read_channel`).  ``rng`` is the
-    generator the shape itself draws from (bursty only).  Parameters:
-    constant ``(level,)``; ramp ``(start_level, end_level, duration)``;
-    diurnal × weekly ``(base, swing, peak_hour, width_hours,
-    weekday_scale, weekend_scale)``; bursty ``(base, burst_level,
-    burst_probability, correlation)``; max(constant, spike) ``(level,
-    base, spike_level, period, spike_width, phase)``.  A single-timestamp
-    read uses only the first parameter of a ramp (its start level, since
-    progress is measured from ``ts[0]``) and the first three of a bursty.
+    The one reader of the pattern records' fields, shared by the table
+    rows and the grid blocks (:func:`_read_channel`); it matches records
+    by exact type, so any other callable (a subclass among them) stays
+    opaque.  ``rng`` is the generator the shape itself draws from (bursty
+    only).  Parameters: constant ``(level,)``; ramp ``(start_level,
+    end_level, duration)``; diurnal × weekly ``(base, swing, peak_hour,
+    width_hours, weekday_scale, weekend_scale)``; bursty ``(base,
+    burst_level, burst_probability, correlation)``; max(constant, spike)
+    ``(level, base, spike_level, period, spike_width, phase)``.  A
+    single-timestamp read uses only the first parameter of a ramp (its
+    start level, since progress is measured from ``ts[0]``) and the first
+    three of a bursty.
     """
-    kind = _kind(base)
-    if kind == "constant":
-        return _CONST, (float(base.basis[1]),), None
-    if kind == "ramp":
-        return _RAMP, tuple(float(x) for x in base.basis[1:4]), None
-    if kind == "bursty" and getattr(base, "rng", None) is not None:
-        return _BURSTY, tuple(float(x) for x in base.basis[1:5]), base.rng
-    if kind == "composite":
-        children = getattr(base, "children", ())
-        kinds = tuple(_kind(c) for c in children)
-        if base.basis[1] == "product" and kinds == ("diurnal", "weekly"):
-            low, peak, peak_hour, width_hours = (float(x) for x in children[0].basis[1:])
-            weekday, weekend = (float(x) for x in children[1].basis[1:])
-            params = (low, peak - low, peak_hour, width_hours, weekday, weekend)
+    kind = type(base)
+    if kind is Constant:
+        return _CONST, (float(base.level),), None
+    if kind is Ramp:
+        return _RAMP, (float(base.start_level), float(base.end_level), float(base.duration)), None
+    if kind is Bursty and base.rng is not None:
+        params = (base.base, base.burst_level, base.burst_probability, base.correlation)
+        return _BURSTY, tuple(float(x) for x in params), base.rng
+    if kind is Composite:
+        children = base.children
+        kinds = tuple(type(c) for c in children)
+        if base.mode == "product" and kinds == (Diurnal, Weekly):
+            day, week = children
+            low = float(day.base)
+            params = (
+                low,
+                float(day.peak) - low,
+                float(day.peak_hour),
+                float(day.width_hours),
+                float(week.weekday_scale),
+                float(week.weekend_scale),
+            )
             return _DIURNAL, params, None
-        if base.basis[1] == "max" and kinds == ("constant", "spike"):
-            params = (children[0].basis[1], *children[1].basis[1:])
+        if base.mode == "max" and kinds == (Constant, SpikeTrain):
+            level, spike = children
+            params = (
+                level.level,
+                spike.base,
+                spike.spike_level,
+                spike.period,
+                spike.spike_width,
+                spike.phase,
+            )
             return _SPIKE, tuple(float(x) for x in params), None
     return None
 
@@ -134,14 +157,12 @@ def _read_channel(pattern) -> tuple[float, tuple, object, float, object] | None:
     ``shape_rng`` is the generator the shape draws from (bursty only,
     else None); ``noise_rng`` the one its Gaussian noise draws from.
     """
-    inner = getattr(pattern, "inner", None)
-    noise_rng = getattr(pattern, "rng", None)
-    if _kind(pattern) != "noise" or inner is None or noise_rng is None:
+    if type(pattern) is not Noisy:
         return None
-    shape = _shape_row(inner)
+    shape = _shape_row(pattern.inner)
     if shape is None:
         return None
-    return (*shape, float(pattern.sigma), noise_rng)
+    return (*shape, float(pattern.sigma), pattern.rng)
 
 
 def _channel_row(pattern, rng) -> tuple | None:
@@ -171,8 +192,8 @@ def _scale(demand: VMDemand) -> tuple[float, float, float, float]:
 
 
 def _demand_row(demand, rng: np.random.Generator) -> tuple | None:
-    """``demand``'s :class:`DemandTable` row, read from the ``basis``
-    metadata of its patterns, or None (*opaque*) unless it is a
+    """``demand``'s :class:`DemandTable` row, read from the fields of
+    its pattern records, or None (*opaque*) unless it is a
     :class:`VMDemand` whose two channels are row shapes drawing only from
     ``rng``."""
     if type(demand) is not VMDemand:
@@ -203,7 +224,7 @@ def _evaluate_one(demand, t: float) -> list:
 
 def _channel_values(block, noise, uniforms, t: float, hour: float, weekend: bool):
     """Clipped ratios of channel blocks (cpu and mem alike) at one
-    timestamp: each closure's expression on a one-element grid, as array
+    timestamp: each record's expression on a one-element grid, as array
     ops over the blocks."""
     kind = block[:, 0]
     p = block[:, 2:]
@@ -232,10 +253,16 @@ def _channel_values(block, noise, uniforms, t: float, hour: float, weekend: bool
 
 # -- grid blocks --------------------------------------------------------------
 
-#: Demands per block of :func:`evaluate_windows`.  Over a 30-day grid at
-#: 1800 s sampling a block's channel rows (two per demand) take 1.5 MB and
-#: its resource rows (five per demand), the largest temporary, 3.7 MB.
-_GRID_BLOCK = 64
+#: Byte budget of a block's largest temporary in :func:`evaluate_windows`,
+#: its float64 resource rows (five per demand, each as wide as the block's
+#: windows).  The block size follows the grid: 36 demands over a 30-day
+#: grid at 1800 s sampling, 6 at the paper's 300 s, and at least one.
+_GRID_BLOCK_BYTES = 2 << 20
+
+
+def _block_demands(n_points: int) -> int:
+    """Demands per block over a grid of ``n_points`` timestamps."""
+    return max(1, _GRID_BLOCK_BYTES // (5 * 8 * max(1, n_points)))
 
 
 def evaluate_windows(demands, windows, grid):
@@ -252,22 +279,24 @@ def evaluate_windows(demands, windows, grid):
     each window in turn, and leaves every generator where those calls
     would.
 
-    Demands go in blocks of :data:`_GRID_BLOCK`, each drawn when its first
-    result is asked for.  A first pass walks the block drawing each
-    demand's randomness exactly as its closures do: per channel (cpu, then
-    memory) a bursty shape's uniforms, then the noise Gaussians, straight
-    into the channel's row of the block.  A demand :func:`_grid_channels`
+    Demands go in blocks of :func:`_block_demands`, each drawn when its
+    first result is asked for; the blocks only group the second pass, so
+    they do not move a draw.  A first pass walks the block drawing each
+    demand's randomness exactly as its pattern records do: per channel
+    (cpu, then memory) a bursty shape's uniforms, then the noise
+    Gaussians, straight into the channel's row of the block.  A demand :func:`_grid_channels`
     cannot read calls its own ``evaluate`` at that point of the walk.  A
     second pass evaluates each base shape for all of its rows in one
     broadcast op (:func:`_grid_bases`), and one noise add, one clip and
     one scaling cover the block.
     """
     grid = np.asarray(grid, dtype=float)
-    # The diurnal and weekly closures' hour of day and weekend flag.
+    # The diurnal and weekly records' hour of day and weekend flag.
     hour = (grid % SECONDS_PER_DAY) / 3600.0
     weekend = (np.floor(grid / SECONDS_PER_DAY).astype(int) + 3) % 7 >= 5
-    for c0 in range(0, len(demands), _GRID_BLOCK):
-        c1 = c0 + _GRID_BLOCK
+    block = _block_demands(len(grid))
+    for c0 in range(0, len(demands), block):
+        c1 = c0 + block
         yield from _evaluate_block(demands[c0:c1], windows[c0:c1], grid, hour, weekend)
 
 
@@ -289,7 +318,7 @@ def _grid_channels(demand) -> tuple | None:
             and params[3].is_integer()
         ):
             # np.repeat truncates a fractional correlation; leave it to
-            # the closure.
+            # the record.
             return None
     return channels
 
@@ -322,7 +351,7 @@ def _evaluate_block(demands, windows, grid, hour, weekend):
             if kind == _BURSTY:
                 if uniforms is None:
                     uniforms = np.zeros((2 * n, width))
-                # ceil(window / correlation) draws, as the closure takes.
+                # ceil(window / correlation) draws, as the record takes.
                 shape_rng.random(out=uniforms[j, : -(-(b - a) // int(params[3]))])
             noise_rng.standard_normal(out=gauss[j, a:b])
             table[j] = (*_padded(kind, sigma, params), a, float(grid[i0]))
@@ -333,7 +362,7 @@ def _evaluate_block(demands, windows, grid, hour, weekend):
         span = slice(lo, lo + width)
         ratio = _grid_bases(rows, grid[span], hour[span], weekend[span], uniforms)
         # ``rng.normal(0.0, sigma, n)`` is ``0.0 + sigma * gauss``, draw
-        # for draw; the noisy closure then adds and clips.
+        # for draw; the noisy record then adds and clips.
         np.multiply(rows[:, 1:2], gauss, out=gauss)
         gauss += 0.0
         ratio += gauss
@@ -359,7 +388,7 @@ def _evaluate_block(demands, windows, grid, hour, weekend):
 def _grid_bases(rows, ts, hour, weekend, uniforms) -> np.ndarray:
     """Base shape of every block row over ``ts`` (at hours of day ``hour``,
     weekend flags ``weekend``), one broadcast op per kind, each the
-    closure's expression operation for operation."""
+    record's expression operation for operation."""
     kind = rows[:, 0]
     p = rows[:, 2:8]
     base = np.empty((len(rows), len(ts)))
@@ -369,7 +398,7 @@ def _grid_bases(rows, ts, hour, weekend, uniforms) -> np.ndarray:
     sel = np.flatnonzero(kind == _RAMP)
     if sel.size:
         q = p[sel]
-        # Progress from the window's first timestamp (the closure's ts[0]).
+        # Progress from the window's first timestamp (the record's ts[0]).
         progress = np.clip((ts - rows[sel, 9:10]) / q[:, 2:3], 0.0, 1.0)
         base[sel] = q[:, 0:1] + (q[:, 1:2] - q[:, 0:1]) * progress
     sel = np.flatnonzero(kind == _DIURNAL)

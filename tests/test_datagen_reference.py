@@ -43,6 +43,12 @@ def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+def _blocks_of(chunk: int, n_points: int):
+    """Size ``evaluate_windows``'s byte budget to ``chunk`` demands per
+    block over a grid of ``n_points`` timestamps."""
+    return patch.object(waveform, "_GRID_BLOCK_BYTES", chunk * 5 * 8 * n_points)
+
+
 # -- references: the per-VM and per-node loops ---------------------------------
 
 
@@ -308,7 +314,7 @@ def test_generated_dataset_equals_reference(days, sampling, seed, series_limit, 
         churn_fraction=0.5,
         vm_series_limit=series_limit,
     )
-    with patch.object(waveform, "_GRID_BLOCK", chunk):
+    with _blocks_of(chunk, int(days * 86_400 / sampling)):
         new, new_cap = _generate(config, reference=False)
     ref, ref_cap = _generate(config, reference=True)
     assert new.store.content_fingerprint() == ref.store.content_fingerprint()
@@ -447,7 +453,7 @@ def _accumulate_both(seed, entries, days, sampling, series_limit, chunk):
     )
     rng, other, records = _world(seed, entries, days)
     store = MetricStore()
-    with patch.object(waveform, "_GRID_BLOCK", chunk):
+    with _blocks_of(chunk, len(grid)):
         acc = generator._accumulate_demand(records, _NODES, grid, config, store)
     ref_rng, ref_other, ref_records = _world(seed, entries, days)
     ref_store = MetricStore()
@@ -475,10 +481,51 @@ def test_hand_built_records_equal_reference(seed, entries, days, sampling, serie
     _accumulate_both(seed, entries, days, sampling, series_limit, chunk)
 
 
+def _evaluated(seed, entries, days, grid):
+    """Every record's ``evaluate_windows`` output, copied, and the two
+    generators' states after it."""
+    rng, other, records = _world(seed, entries, days)
+    windows = []
+    for record in records:
+        i0 = int(np.searchsorted(grid, max(record.created_at, grid[0])))
+        i1 = int(np.searchsorted(grid, record.deleted_or_inf))
+        probe = np.linspace(max(record.created_at, grid[0]), grid[-1], 8)
+        windows.append((i0, i1) if i1 > i0 else probe)
+    out = [
+        (np.array(cpu), np.array(mem), np.array(columns))
+        for cpu, mem, columns in waveform.evaluate_windows(
+            [r.demand for r in records], windows, grid
+        )
+    ]
+    return out, rng.bit_generator.state, other.bit_generator.state
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    entries=st.lists(_entry, min_size=1, max_size=10),
+    days=st.integers(min_value=1, max_value=5),
+    sampling=st.sampled_from([900, 3600]),
+)
+def test_one_demand_blocks_equal_default_grouping(seed, entries, days, sampling):
+    """Blocks group only the second pass: a byte budget too small for two
+    demands gives the default grouping's values and draws."""
+    grid = _GRID_START + sampling * np.arange(int(days * _DAY / sampling))
+    default = _evaluated(seed, entries, days, grid)
+    with patch.object(waveform, "_GRID_BLOCK_BYTES", 1):
+        assert waveform._block_demands(len(grid)) == 1
+        single = _evaluated(seed, entries, days, grid)
+    assert single[1:] == default[1:]
+    assert len(single[0]) == len(default[0]) == len(entries)
+    for got, want in zip(single[0], default[0]):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_bursty_vms_at_chunk_boundaries():
     """Bursty VMs straddle block edges, between full-window diurnal VMs,
     with a late-starting ramp and an opaque closure in mid-block."""
-    chunk = waveform._GRID_BLOCK
+    chunk = waveform._block_demands(8 * 48)
     n = 2 * chunk + 3
     entries = []
     for i in range(n):

@@ -1,9 +1,16 @@
 """Tests for temporal demand patterns."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.infrastructure.flavors import default_catalog
 from repro.workloads import patterns as pat
+from repro.workloads.demand import DemandModel
+from repro.workloads.profiles import PROFILES
 
 
 @pytest.fixture
@@ -135,3 +142,228 @@ class TestNoise:
     def test_negative_sigma_raises(self, rng):
         with pytest.raises(ValueError):
             pat.with_noise(pat.constant(0.5), sigma=-1, rng=rng)
+
+
+# -- records against the closures they replaced ---------------------------------
+#
+# Each factory used to return a closure; it now returns a slotted record.
+# These test-local copies are the closure bodies, expression for
+# expression: a record must return their bits and leave its generator
+# where they leave theirs, because every demand value and every later
+# draw of the simulation and of datagen follows from them.
+
+
+def _closure_constant(level):
+    def pattern(ts):
+        return np.full(len(ts), level)
+
+    return pattern
+
+
+def _closure_diurnal(base, peak, peak_hour=13.0, width_hours=4.0):
+    def pattern(ts):
+        hour = (ts % pat.SECONDS_PER_DAY) / 3600.0
+        dist = np.minimum(np.abs(hour - peak_hour), 24.0 - np.abs(hour - peak_hour))
+        bump = np.exp(-0.5 * (dist / width_hours) ** 2)
+        return base + (peak - base) * bump
+
+    return pattern
+
+
+def _closure_weekly(weekday_scale=1.0, weekend_scale=0.6):
+    def pattern(ts):
+        day_index = (np.floor(ts / pat.SECONDS_PER_DAY).astype(int) + 3) % 7
+        return np.where(day_index >= 5, weekend_scale, weekday_scale)
+
+    return pattern
+
+
+def _closure_ramp(start_level, end_level, duration):
+    def pattern(ts):
+        if len(ts) == 0:
+            return np.asarray([])
+        progress = np.clip((ts - ts[0]) / duration, 0.0, 1.0)
+        return start_level + (end_level - start_level) * progress
+
+    return pattern
+
+
+def _closure_bursty(base, burst_level, burst_probability, rng, correlation=4):
+    def pattern(ts):
+        n_draws = int(np.ceil(len(ts) / max(1, correlation)))
+        draws = rng.random(n_draws) < burst_probability
+        mask = np.repeat(draws, correlation)[: len(ts)]
+        return np.where(mask, burst_level, base)
+
+    return pattern
+
+
+def _closure_spike_train(base, spike_level, period, spike_width, phase=0.0):
+    def pattern(ts):
+        in_spike = ((ts + phase) % period) < spike_width
+        return np.where(in_spike, spike_level, base)
+
+    return pattern
+
+
+def _closure_composite(patterns, mode="max"):
+    def pattern(ts):
+        stacked = np.stack([p(ts) for p in patterns])
+        if mode == "max":
+            return stacked.max(axis=0)
+        if mode == "sum":
+            return np.clip(stacked.sum(axis=0), 0.0, 1.0)
+        return stacked.prod(axis=0)
+
+    return pattern
+
+
+def _closure_with_noise(pattern, sigma, rng):
+    def noisy(ts):
+        return np.clip(pattern(ts) + rng.normal(0.0, sigma, len(ts)), 0.0, 1.0)
+
+    return noisy
+
+
+_CLOSURES = SimpleNamespace(
+    constant=_closure_constant,
+    diurnal=_closure_diurnal,
+    weekly=_closure_weekly,
+    ramp=_closure_ramp,
+    bursty=_closure_bursty,
+    spike_train=_closure_spike_train,
+    composite=_closure_composite,
+    with_noise=_closure_with_noise,
+)
+
+
+def _build(spec, rng, factories):
+    """The pattern ``spec`` describes, from ``factories`` (the module or
+    the closure copies), drawing from ``rng``."""
+    kind, *args = spec
+    if kind == "composite":
+        mode, children = args
+        return factories.composite([_build(c, rng, factories) for c in children], mode)
+    if kind == "with_noise":
+        sigma, child = args
+        return factories.with_noise(_build(child, rng, factories), sigma, rng)
+    if kind == "bursty":
+        base, level, probability, correlation = args
+        return factories.bursty(base, level, probability, rng, correlation=correlation)
+    return getattr(factories, kind)(*args)
+
+
+_level = st.floats(min_value=0.0, max_value=1.0)
+_leaf = st.one_of(
+    st.tuples(st.just("constant"), _level),
+    st.tuples(_level, _level, st.floats(0.0, 24.0), st.floats(0.5, 6.0)).map(
+        lambda t: ("diurnal", min(t[:2]), max(t[:2]), t[2], t[3])
+    ),
+    st.tuples(st.just("weekly"), _level, _level),
+    st.tuples(st.just("ramp"), _level, _level, st.floats(1.0, 40 * 86_400.0)),
+    # Correlation 1 draws a uniform per sample.
+    st.tuples(st.just("bursty"), _level, _level, _level, st.integers(1, 12)),
+    st.tuples(
+        st.just("spike_train"),
+        _level,
+        _level,
+        st.floats(60.0, 2 * 86_400.0),
+        st.floats(1.0, 7200.0),
+        st.floats(0.0, 86_400.0),
+    ),
+)
+#: Leaves, composites of any depth, and noise at any level.
+_spec = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.tuples(
+            st.just("composite"),
+            st.sampled_from(["max", "sum", "product"]),
+            st.lists(inner, min_size=1, max_size=3),
+        ),
+        st.tuples(st.just("with_noise"), st.floats(0.0, 0.2), inner),
+    ),
+    max_leaves=6,
+)
+_epoch = 1_722_384_000.0
+_grid = st.one_of(
+    # Unsorted timestamps over two months, the empty grid among them.
+    st.lists(st.floats(_epoch - 86_400.0, _epoch + 60 * 86_400.0), max_size=40),
+    # A regular grid from a random start.
+    st.tuples(
+        st.floats(_epoch, _epoch + 7 * 86_400.0),
+        st.sampled_from([300.0, 900.0, 1800.0]),
+        st.integers(0, 200),
+    ).map(lambda t: t[0] + t[1] * np.arange(t[2])),
+)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_spec, grids=st.lists(_grid, min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_records_equal_the_closures_bit_for_bit(spec, grids, seed):
+    record_rng = np.random.default_rng(seed)
+    closure_rng = np.random.default_rng(seed)
+    record = _build(spec, record_rng, pat)
+    closure = _build(spec, closure_rng, _CLOSURES)
+    for grid in grids:
+        ts = np.asarray(grid, dtype=float)
+        assert _same_bits(record(ts), closure(ts)), spec
+    assert record_rng.bit_generator.state == closure_rng.bit_generator.state
+
+
+def test_ramp_of_an_empty_grid_equals_the_closure():
+    empty = np.asarray([], dtype=float)
+    assert _same_bits(pat.ramp(0.2, 0.9, 100.0)(empty), _closure_ramp(0.2, 0.9, 100.0)(empty))
+
+
+def _records(pattern):
+    """``pattern`` and every record it wraps."""
+    yield pattern
+    for child in getattr(pattern, "children", ()):
+        yield from _records(child)
+    inner = getattr(pattern, "inner", None)
+    if inner is not None:
+        yield from _records(inner)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_records_have_no_dict(name, rng):
+    """Every record a profile builds, and one of each factory, is slotted."""
+    flavor = default_catalog().get("g_c8_m32")
+    built = [
+        pat.constant(0.5),
+        pat.diurnal(0.1, 0.9),
+        pat.weekly(),
+        pat.ramp(0.0, 1.0, 10.0),
+        pat.bursty(0.1, 0.9, 0.3, rng),
+        pat.spike_train(0.0, 1.0, 100.0, 10.0),
+        pat.composite([pat.constant(0.1)]),
+        pat.with_noise(pat.constant(0.1), 0.1, rng),
+    ]
+    for _ in range(20):
+        demand = DemandModel(rng).demand_for(flavor, PROFILES[name])
+        built += [demand.cpu_pattern, demand.mem_pattern]
+    for pattern in built:
+        for record in _records(pattern):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_demand_for_memory_per_vm():
+    """A VM's demand model stays small: at most 1.5 KB a VM, traced over
+    2,000 VMs (closures took about 3.6 KB)."""
+    flavors = list(default_catalog())
+    model = DemandModel(np.random.default_rng(1))
+    model.demand_for(flavors[0])  # first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        demands = [model.demand_for(flavors[i % len(flavors)]) for i in range(2000)]
+        per_vm = (tracemalloc.get_traced_memory()[0] - before) / len(demands)
+    finally:
+        tracemalloc.stop()
+    assert per_vm <= 1536, f"{per_vm:.0f} bytes per VM"

@@ -115,6 +115,54 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioSpec.from_dict({"topology": "paper", field: float(value)})
 
+    @pytest.mark.parametrize(
+        "field",
+        ["seed", "initial_vms", "building_blocks", "nodes_per_bb", "building_blocks_per_az"],
+    )
+    @pytest.mark.parametrize("value", [None, "1", 1.5, 2.0, True, [1]])
+    def test_int_fields_reject_other_types_by_name(self, field, value):
+        with pytest.raises(
+            ValueError, match=rf"^ScenarioSpec\.{field} must be an integer, got "
+        ):
+            ScenarioSpec.from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "region_scale",
+            "duration_days",
+            "arrival_rate_per_hour",
+            "scrape_interval_s",
+            "drs_interval_s",
+        ],
+    )
+    @pytest.mark.parametrize("value", [None, "1", False, {}])
+    def test_float_fields_reject_non_numbers_by_name(self, field, value):
+        with pytest.raises(
+            ValueError, match=rf"^ScenarioSpec\.{field} must be a number, got "
+        ):
+            ScenarioSpec.from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["region_scale", "duration_days", "scrape_interval_s", "drs_interval_s"]
+    )
+    def test_float_fields_take_ints(self, field):
+        assert getattr(ScenarioSpec.from_dict({field: 2}), field) == 2
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"duration_days": 0.0}, "duration_days must be positive"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"initial_vms": -1}, "arrival rate and initial_vms must be >= 0"),
+            ({"drs_interval_s": float("nan")}, "drs_interval_s must be finite, got nan"),
+        ],
+    )
+    def test_range_messages_unchanged(self, data, message):
+        with pytest.raises(ValueError) as info:
+            ScenarioSpec.from_dict(data)
+        assert str(info.value) == message
+
     def test_scheduler_with_live_objects_not_serialisable(self):
         spec = ScenarioSpec(scheduler=SchedulerConfig(filters=()))
         with pytest.raises(ValueError, match="filter"):

@@ -20,7 +20,13 @@ from repro.drs.balancer import migrate
 from repro.faults.config import FaultConfig
 from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 from repro.infrastructure.flavors import Flavor
-from repro.infrastructure.topology import BuildingBlockSpec, DatacenterSpec, TopologySpec
+from repro.infrastructure.topology import (
+    BuildingBlockSpec,
+    DatacenterSpec,
+    TopologySpec,
+    build_region,
+    paper_region_spec,
+)
 from repro.infrastructure.vm import VM, VMState
 from repro.simulation import runner
 from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
@@ -144,6 +150,19 @@ class TestEmitParity:
         emitted = NovaExporter().emit_region(columnar, tiny_region, 0.0)
 
         assert emitted == legacy.sample_count()
+        assert columnar.content_fingerprint() == legacy.content_fingerprint()
+
+    def test_emit_region_follows_its_region_argument(self):
+        """One exporter, one store, two regions: each call emits the region
+        it is given, as the per-sample path does."""
+        regions = [build_region(paper_region_spec(scale)) for scale in (0.02, 0.05)]
+        legacy = MetricStore()
+        columnar = MetricStore()
+        exporter = NovaExporter()
+        for t, region in enumerate(regions):
+            legacy.ingest(NovaExporter().scrape_region(region, 60.0 * t))
+            exporter.emit_region(columnar, region, 60.0 * t)
+        assert columnar.series_count() == legacy.series_count() == 37
         assert columnar.content_fingerprint() == legacy.content_fingerprint()
 
     def test_emit_region_tracks_allocation_changes(self, tiny_region):
